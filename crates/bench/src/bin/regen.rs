@@ -1,7 +1,7 @@
 //! Regenerates the tables recorded in EXPERIMENTS.md, and — with `--bench` —
 //! the machine-readable perf snapshots `BENCH_substrate.json`,
 //! `BENCH_refuters.json`, `BENCH_runcache.json`, `BENCH_serve.json`, and
-//! `BENCH_prefix.json`.
+//! `BENCH_campaign.json`.
 //! With `--refute`, runs one refuter and writes the resulting certificate to
 //! disk in the portable `FLMC` format, where `flm-audit` can re-verify it
 //! independently.
@@ -64,7 +64,7 @@ fn main() {
         Err(msg) => {
             eprintln!("regen: {msg}");
             eprintln!(
-                "usage: regen [--bench substrate|refuters|runcache|serve|campaign|prefix] [--samples N] [--out FILE]\n\
+                "usage: regen [--bench substrate|refuters|runcache|serve|campaign] [--samples N] [--out FILE]\n\
                  \x20      regen --refute THEOREM --emit-cert FILE [--protocol NAME] [--f N] \
                  [--graph GRAPH] [--max-ticks N] [--max-payload-bytes N]\n\
                  \x20      regen --campaign --out-dir DIR [--seed N] [--scale smoke|full] \
@@ -131,19 +131,11 @@ fn parse(args: &[String]) -> Result<Mode, String> {
         match arg.as_str() {
             "--bench" => {
                 let s = value(&mut it)?;
-                if ![
-                    "substrate",
-                    "refuters",
-                    "runcache",
-                    "serve",
-                    "campaign",
-                    "prefix",
-                ]
-                .contains(&s.as_str())
+                if !["substrate", "refuters", "runcache", "serve", "campaign"].contains(&s.as_str())
                 {
                     return Err(format!(
                         "unknown suite {s:?} (want substrate, refuters, runcache, serve, \
-                         campaign, or prefix)"
+                         or campaign)"
                     ));
                 }
                 suite = Some(s);
@@ -344,7 +336,6 @@ fn run_bench(args: &BenchArgs) {
         "runcache" => suites::runcache_suite(args.samples),
         "serve" => suites::serve_suite(args.samples),
         "campaign" => suites::campaign_suite(args.samples),
-        "prefix" => suites::prefix_suite(args.samples),
         _ => suites::refuter_suite(args.samples),
     };
     let json = suites::to_json(&args.suite, &suite);

@@ -319,9 +319,7 @@ impl Certificate {
         // so the cache never aliases two protocols under one recorded name —
         // and a refute-then-verify sequence in one process, which derives
         // the identical key in `refute::transplant`, replays from the cache
-        // instead of re-running the system. Links that only extend or
-        // perturb another link's trace tail fork the shared prefix
-        // snapshot from the run-prefix trie.
+        // instead of re-running the system.
         crate::refute::memoize_link_run(
             &protocol.name(),
             &self.base,

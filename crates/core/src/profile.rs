@@ -100,12 +100,6 @@ pub fn report() -> String {
         s.evictions,
         s.entries,
     );
-    let p = flm_sim::prefixcache::stats();
-    let _ = writeln!(
-        out,
-        "  prefix trie: {} hits / {} misses, {} ticks skipped by resuming, {} evictions, {} snapshots",
-        p.hits, p.misses, p.ticks_saved, p.evictions, p.entries,
-    );
     out
 }
 

@@ -169,11 +169,9 @@ pub(crate) fn run_cost_hint_ns(nodes: usize, horizon: u32) -> u64 {
 }
 
 /// Memoizes a link-shaped contained run (correct protocol devices plus
-/// masquerading replayers) at both cache levels: the whole-run cache for
-/// byte-identical re-executions, and the run-prefix trie for runs that
-/// share the assembly and an initial stretch of masquerade trace ticks.
+/// masquerading replayers) in the whole-run cache.
 ///
-/// The key and schedule are derived from the arguments alone, so every
+/// The key is derived from the arguments alone, so every
 /// caller that would execute the same link run shares one execution:
 /// [`transplant`] when it records a link, `Certificate::rebuild` when it
 /// re-executes one during verification, and the chaos-campaign probe
@@ -207,9 +205,9 @@ pub fn memoize_link_run<E>(
         horizon,
         policy,
     );
-    let schedule =
-        crate::runkey::link_schedule(protocol_name, base, correct, masquerade, inputs, policy);
-    flm_sim::prefixcache::memoize_prefixed(&key, &schedule, horizon, policy, build, map_err)
+    flm_sim::runcache::memoize_discrete(&key, || {
+        build()?.run_contained(horizon, policy).map_err(map_err)
+    })
 }
 
 /// Installs `protocol`'s devices in the covering graph (wired along edge
@@ -227,32 +225,25 @@ pub(crate) fn run_cover(
 ) -> Result<Arc<SystemBehavior>, RefuteError> {
     crate::profile::span("run-cover", || {
         let key = crate::runkey::cover_key(&protocol.name(), cov, inputs, horizon, policy);
-        let schedule = crate::runkey::cover_schedule(&protocol.name(), cov, inputs, policy);
         // Contained: a hostile device must not abort the refuter. A cover
         // node that misbehaves is quarantined; determinism means its
         // base-graph twin misbehaves identically in the transplants, where
         // the degradation policy charges it against the fault budget.
-        flm_sim::prefixcache::memoize_prefixed(
-            &key,
-            &schedule,
-            horizon,
-            policy,
-            || {
-                let mut sys = System::new(cov.cover().clone());
-                for s in cov.cover().nodes() {
-                    let device = protocol.device(cov.base(), cov.project(s));
-                    sys.assign_lifted(cov, s, device, inputs(s)).map_err(|e| {
-                        RefuteError::ModelViolation {
-                            reason: format!("installing device at cover node {s}: {e}"),
-                        }
-                    })?;
-                }
-                Ok(sys)
-            },
-            |e| RefuteError::ModelViolation {
-                reason: format!("cover run failed: {e}"),
-            },
-        )
+        flm_sim::runcache::memoize_discrete(&key, || {
+            let mut sys = System::new(cov.cover().clone());
+            for s in cov.cover().nodes() {
+                let device = protocol.device(cov.base(), cov.project(s));
+                sys.assign_lifted(cov, s, device, inputs(s)).map_err(|e| {
+                    RefuteError::ModelViolation {
+                        reason: format!("installing device at cover node {s}: {e}"),
+                    }
+                })?;
+            }
+            sys.run_contained(horizon, policy)
+                .map_err(|e| RefuteError::ModelViolation {
+                    reason: format!("cover run failed: {e}"),
+                })
+        })
     })
 }
 
@@ -370,9 +361,7 @@ fn transplant_inner(
     }
 
     // The same key `Certificate::rebuild` derives from the finished link, so
-    // verification of a freshly minted certificate replays from the cache;
-    // links diverging only near their traces' ends fork a shared prefix
-    // snapshot instead of re-simulating from tick 0.
+    // verification of a freshly minted certificate replays from the cache.
     let correct_sorted: Vec<NodeId> = correct.iter().copied().collect();
     let behavior = memoize_link_run(
         &protocol.name(),

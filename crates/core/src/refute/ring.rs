@@ -51,23 +51,16 @@ fn all_correct_run(
     policy: &RunPolicy,
 ) -> AllCorrectRun {
     let key = crate::runkey::all_correct_key(&protocol.name(), g, input, horizon, policy);
-    let schedule = crate::runkey::all_correct_schedule(&protocol.name(), g, input, policy);
-    let behavior = flm_sim::prefixcache::memoize_prefixed(
-        &key,
-        &schedule,
-        horizon,
-        policy,
-        || {
-            let mut sys = System::new(g.clone());
-            for v in g.nodes() {
-                sys.assign(v, protocol.device(g, v), input);
-            }
-            Ok(sys)
-        },
-        |e| RefuteError::ModelViolation {
-            reason: format!("all-correct run failed: {e}"),
-        },
-    )?;
+    let behavior = flm_sim::runcache::memoize_discrete(&key, || {
+        let mut sys = System::new(g.clone());
+        for v in g.nodes() {
+            sys.assign(v, protocol.device(g, v), input);
+        }
+        sys.run_contained(horizon, policy)
+            .map_err(|e| RefuteError::ModelViolation {
+                reason: format!("all-correct run failed: {e}"),
+            })
+    })?;
     let degraded = behavior.misbehaving_nodes();
     if degraded.len() > f || degraded.len() == g.node_count() {
         return Err(RefuteError::Misbehavior {

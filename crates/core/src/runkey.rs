@@ -17,7 +17,6 @@
 use flm_graph::covering::Covering;
 use flm_graph::{Graph, NodeId};
 use flm_sim::behavior::{encode_edge_behavior, EdgeBehavior};
-use flm_sim::prefixcache::PrefixSchedule;
 use flm_sim::runcache::RunKey;
 use flm_sim::wire::Writer;
 use flm_sim::{Input, RunPolicy};
@@ -49,32 +48,6 @@ pub(crate) fn cover_key(
     w.u32(horizon);
     policy.encode(&mut w);
     RunKey::new("cover", w.finish())
-}
-
-/// Prefix schedule for [`cover_key`] runs: the same assembly minus the
-/// horizon (so runs of different lengths share tick snapshots), with no
-/// scripted nodes and hence no per-tick bytes.
-pub(crate) fn cover_schedule(
-    protocol_name: &str,
-    cov: &Covering,
-    inputs: &dyn Fn(NodeId) -> Input,
-    policy: &RunPolicy,
-) -> PrefixSchedule {
-    let mut w = Writer::new();
-    w.str("cover");
-    w.str(protocol_name);
-    w.bytes(&cov.base().to_bytes());
-    w.bytes(&cov.cover().to_bytes());
-    for s in cov.cover().nodes() {
-        let g = cov.project(s);
-        w.u32(g.0);
-        for t in cov.base().neighbors(g) {
-            w.u32(cov.lift_neighbor(s, t).0);
-        }
-        inputs(s).encode(&mut w);
-    }
-    policy.encode(&mut w);
-    PrefixSchedule::new(w.finish(), Vec::new())
 }
 
 /// Key for a transplanted base run: correct nodes (protocol devices, their
@@ -113,64 +86,6 @@ pub(crate) fn link_key(
     RunKey::new("link", w.finish())
 }
 
-/// Prefix schedule for [`link_key`] runs. The static part is the link's
-/// whole assembly minus the horizon and the masquerade trace *contents*
-/// (the trace shape — which nodes replay, how many ports, each trace's
-/// length — stays static); `tick_bytes[t]` pins every replayer's output at
-/// tick `t` in masquerade-then-port order. Two links diverging only in
-/// their traces' final ticks therefore share every earlier tick snapshot.
-pub(crate) fn link_schedule(
-    protocol_name: &str,
-    base: &Graph,
-    correct: &[NodeId],
-    masquerade: &[(NodeId, Vec<EdgeBehavior>)],
-    inputs: &[Input],
-    policy: &RunPolicy,
-) -> PrefixSchedule {
-    let mut w = Writer::new();
-    w.str("link");
-    w.str(protocol_name);
-    w.bytes(&base.to_bytes());
-    w.u32(correct.len() as u32);
-    for v in correct {
-        w.u32(v.0);
-    }
-    w.u32(masquerade.len() as u32);
-    let mut ticks = 0;
-    for (v, traces) in masquerade {
-        w.u32(v.0);
-        w.u32(traces.len() as u32);
-        for trace in traces {
-            w.u32(trace.len() as u32);
-            ticks = ticks.max(trace.len());
-        }
-    }
-    w.u32(inputs.len() as u32);
-    for &input in inputs {
-        input.encode(&mut w);
-    }
-    policy.encode(&mut w);
-    let scripted: Vec<NodeId> = masquerade.iter().map(|(v, _)| *v).collect();
-    let mut schedule = PrefixSchedule::new(w.finish(), scripted);
-    for t in 0..ticks {
-        let mut tw = Writer::new();
-        for (_, traces) in masquerade {
-            for trace in traces {
-                match trace.get(t).and_then(Option::as_ref) {
-                    None => {
-                        tw.u8(0);
-                    }
-                    Some(p) => {
-                        tw.u8(1).bytes(p);
-                    }
-                }
-            }
-        }
-        schedule.push_tick(tw.finish());
-    }
-    schedule
-}
-
 /// Key for [`crate::refute`]'s all-correct ring runs: every node honest with
 /// one uniform input.
 pub(crate) fn all_correct_key(
@@ -187,23 +102,6 @@ pub(crate) fn all_correct_key(
     w.u32(horizon);
     policy.encode(&mut w);
     RunKey::new("allcorrect", w.finish())
-}
-
-/// Prefix schedule for [`all_correct_key`] runs: assembly minus horizon, no
-/// scripted nodes.
-pub(crate) fn all_correct_schedule(
-    protocol_name: &str,
-    g: &Graph,
-    input: Input,
-    policy: &RunPolicy,
-) -> PrefixSchedule {
-    let mut w = Writer::new();
-    w.str("allcorrect");
-    w.str(protocol_name);
-    w.bytes(&g.to_bytes());
-    input.encode(&mut w);
-    policy.encode(&mut w);
-    PrefixSchedule::new(w.finish(), Vec::new())
 }
 
 /// Key for one of the FLP refuter's strategy probes ([`crate::refute::flp_async`]):

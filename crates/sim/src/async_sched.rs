@@ -33,9 +33,7 @@
 //!
 //! Asynchronous runs are memoized in [`crate::runcache`] under the
 //! dedicated `"async"` key domain, so they can never alias a synchronous
-//! run (whose domains are `"link"`, `"cover"`, …); the prefix cache is not
-//! consulted at all — its tick snapshots encode synchronous inbox
-//! semantics and would be unsound to fork into an async execution.
+//! run (whose domains are `"link"`, `"cover"`, …).
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -278,9 +278,8 @@ impl NodeCtx {
 ///   port and must return exactly one per port (`None` = silence; silence
 ///   is itself observable on the edge).
 ///
-/// Devices are `Send` so that mid-run snapshots (forked device state held
-/// by `flm_sim::prefixcache`) can live in a process-global store shared
-/// across worker threads.
+/// Devices are `Send` so that systems can be assembled on one thread and
+/// run on a worker thread (the parallel refuters and campaign sweeps).
 pub trait Device: Send {
     /// Short human-readable name (`"EIG"`, `"Replay"`, …) used in reports.
     fn name(&self) -> &'static str;
@@ -298,12 +297,15 @@ pub trait Device: Send {
     fn snapshot(&self) -> Vec<u8>;
 
     /// A complete, independent copy of the device's *runtime* state, used
-    /// by the prefix cache to resume a run from a stored tick snapshot.
+    /// by the asynchronous adversary's look-ahead
+    /// ([`crate::async_sched`]) to try a delivery on a copy before
+    /// committing to it.
     ///
     /// The contract is total fidelity: the fork must step exactly like the
     /// original from here on. Devices that cannot guarantee that return
-    /// `None` (the default) — the run then simply isn't prefix-cached,
-    /// which is always sound.
+    /// `None` (the default) — the adversary then cannot vet deliveries to
+    /// this device and treats them as possibly deciding, which is always
+    /// sound.
     fn fork(&self) -> Option<Box<dyn Device>> {
         None
     }

@@ -59,7 +59,6 @@ pub mod device;
 pub mod devices;
 pub mod faults;
 pub(crate) mod kernel;
-pub mod prefixcache;
 pub mod protocol;
 pub mod replay;
 pub mod runcache;
@@ -73,5 +72,5 @@ pub use behavior::{
 pub use device::{Decision, Device, Input, NodeCtx, Payload};
 pub use faults::{FaultAction, FaultPlan, FaultRule};
 pub use protocol::{ClockProtocol, Protocol};
-pub use system::{contain_panics, RunPolicy, RunScratch, System};
+pub use system::{contain_panics, RunPolicy, System};
 pub use time::Tick;

@@ -425,6 +425,17 @@ mod tests {
         sys.run_contained(5, &RunPolicy::default())
     }
 
+    /// The store is process-global and the tests below run on parallel
+    /// threads; serialize the ones that clear or count it so one test's
+    /// `clear()` or inserts cannot race another's assertions.
+    static STORE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn store_lock() -> std::sync::MutexGuard<'static, ()> {
+        STORE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn key(tag: u64) -> RunKey {
         let mut w = crate::wire::Writer::new();
         w.u64(tag);
@@ -448,6 +459,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_same_arc_and_counts() {
+        let _guard = store_lock();
         clear();
         let k = key(0xA11CE);
         let first = memoize_discrete(&k, || run_triangle(1)).unwrap();
@@ -459,6 +471,7 @@ mod tests {
 
     #[test]
     fn different_keys_do_not_alias() {
+        let _guard = store_lock();
         clear();
         let a = memoize_discrete(&key(1), || run_triangle(1)).unwrap();
         let b = memoize_discrete(&key(2), || run_triangle(2)).unwrap();
@@ -467,6 +480,7 @@ mod tests {
 
     #[test]
     fn colliding_fingerprints_fall_back_to_full_key_compare() {
+        let _guard = store_lock();
         clear();
         // Two keys forced into the same bucket: identical fingerprint field
         // can only arise from distinct bytes via a real FNV collision, which
@@ -485,6 +499,7 @@ mod tests {
 
     #[test]
     fn bypass_scope_never_touches_the_store() {
+        let _guard = store_lock();
         clear();
         reset_stats();
         let k = key(0xB1);
@@ -498,6 +513,7 @@ mod tests {
 
     #[test]
     fn error_paths_are_not_cached() {
+        let _guard = store_lock();
         clear();
         let k = key(0xE0);
         let r: Result<_, &str> = memoize_discrete(&k, || Err("boom"));
@@ -507,6 +523,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_bounds_the_store() {
+        let _guard = store_lock();
         clear();
         for i in 0..(max_entries() as u64 + 40) {
             let _ = memoize_discrete(&key(0x1_0000 + i), || run_triangle(1)).unwrap();
@@ -539,6 +556,7 @@ mod tests {
 
     #[test]
     fn cached_behavior_is_byte_identical_to_a_fresh_run() {
+        let _guard = store_lock();
         clear();
         let k = key(0xD1FF);
         let cached = memoize_discrete(&k, || run_triangle(9)).unwrap();

@@ -171,39 +171,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Reusable buffers for the dense message plane: the flat port-offset /
-/// edge-index tables, the flat inbox buffer, and the quarantine flags the
-/// SoA kernel (`crate::kernel`) builds for every run. A sweep that
-/// executes thousands of small systems (the adversarial matrix, the
-/// property suites, the refuter chains) can hold one `RunScratch` and pass
-/// it to [`System::try_run_with_scratch`] /
-/// [`System::run_contained_with_scratch`] to amortize those allocations;
-/// the buffers are resized and overwritten per run, never carried between
-/// runs as state, so scratch reuse cannot change a behavior.
-///
-/// Edge traces and snapshots are *outputs* (they move into the returned
-/// [`SystemBehavior`]) and are always freshly allocated.
-#[derive(Debug, Default)]
-pub struct RunScratch {
-    /// `n + 1` prefix sums: node `v`'s ports occupy the flat range
-    /// `port_off[v]..port_off[v + 1]` in the tables below.
-    pub(crate) port_off: Vec<u32>,
-    /// Receive edge index (lex position in `directed_edges`) per flat port.
-    pub(crate) in_edges: Vec<u32>,
-    /// Send edge index per flat port.
-    pub(crate) out_edges: Vec<u32>,
-    /// One flat inbox cell per port, overwritten every tick.
-    pub(crate) inbox: Vec<Option<Payload>>,
-    pub(crate) quarantined: Vec<bool>,
-}
-
-impl RunScratch {
-    /// Creates an empty scratch; buffers grow to fit the first run.
-    pub fn new() -> Self {
-        RunScratch::default()
-    }
-}
-
 pub(crate) struct Slot {
     pub(crate) device: Box<dyn Device>,
     pub(crate) ctx: NodeCtx,
@@ -373,22 +340,7 @@ impl System {
     ///
     /// Returns [`SystemError::Unassigned`] or [`SystemError::PortMismatch`].
     pub fn try_run(&mut self, horizon: u32) -> Result<SystemBehavior, SystemError> {
-        self.run_inner(horizon, None, &mut RunScratch::new())
-    }
-
-    /// [`System::try_run`] with caller-provided scratch buffers, so sweeps
-    /// over many systems amortize the edge-table and inbox allocations.
-    /// Byte-identical to [`System::try_run`] for the same system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemError::Unassigned`] or [`SystemError::PortMismatch`].
-    pub fn try_run_with_scratch(
-        &mut self,
-        horizon: u32,
-        scratch: &mut RunScratch,
-    ) -> Result<SystemBehavior, SystemError> {
-        self.run_inner(horizon, None, scratch)
+        crate::kernel::run(&self.graph, &mut self.slots, horizon, None)
     }
 
     /// Runs the system with every device step *contained*: a device that
@@ -414,72 +366,11 @@ impl System {
         horizon: u32,
         policy: &RunPolicy,
     ) -> Result<SystemBehavior, SystemError> {
-        self.run_inner(
-            horizon.min(policy.max_ticks),
-            Some(policy),
-            &mut RunScratch::new(),
-        )
-    }
-
-    /// [`System::run_contained`] with caller-provided scratch buffers; see
-    /// [`System::try_run_with_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SystemError::Unassigned`] if a node has no device.
-    pub fn run_contained_with_scratch(
-        &mut self,
-        horizon: u32,
-        policy: &RunPolicy,
-        scratch: &mut RunScratch,
-    ) -> Result<SystemBehavior, SystemError> {
-        self.run_inner(horizon.min(policy.max_ticks), Some(policy), scratch)
-    }
-
-    fn run_inner(
-        &mut self,
-        horizon: u32,
-        policy: Option<&RunPolicy>,
-        scratch: &mut RunScratch,
-    ) -> Result<SystemBehavior, SystemError> {
-        // The dense message plane lives in `crate::kernel`: a
-        // structure-of-arrays tick loop over time-major slabs, so the same
-        // code path also serves prefix-cached runs (mid-run snapshots are
-        // slab prefix clones). Plain runs request no capture and resume
-        // nothing.
-        crate::kernel::run(
-            &self.graph,
-            &mut self.slots,
-            horizon,
-            policy,
-            scratch,
-            None,
-            None,
-        )
-        .map(|(behavior, _)| behavior)
-    }
-
-    /// Contained run with prefix-cache plumbing: optionally resumes from a
-    /// forked [`crate::kernel::TickSnapshot`] and optionally captures
-    /// snapshots at the boundaries named by `capture`. Only
-    /// `crate::prefixcache` calls this; byte-identical to
-    /// [`System::run_contained`] for the same system by the kernel's
-    /// contract.
-    pub(crate) fn run_contained_prefixed(
-        &mut self,
-        horizon: u32,
-        policy: &RunPolicy,
-        resume: Option<crate::kernel::TickSnapshot>,
-        capture: Option<&crate::kernel::CaptureSpec<'_>>,
-    ) -> Result<(SystemBehavior, Vec<crate::kernel::TickSnapshot>), SystemError> {
         crate::kernel::run(
             &self.graph,
             &mut self.slots,
             horizon.min(policy.max_ticks),
             Some(policy),
-            &mut RunScratch::new(),
-            resume,
-            capture,
         )
     }
 

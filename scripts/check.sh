@@ -258,7 +258,7 @@ if [[ "${1:-}" == "--bench-gate" ]]; then
     tmpdir="$(mktemp -d)"
     trap 'rm -rf "$tmpdir"' EXIT
     failed=0
-    for suite in substrate refuters runcache serve campaign prefix; do
+    for suite in substrate refuters runcache serve campaign; do
         committed="BENCH_${suite}.json"
         if [[ ! -f "$committed" ]]; then
             echo "bench gate: missing $committed"

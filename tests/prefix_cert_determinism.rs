@@ -1,21 +1,21 @@
-//! The soundness contract of prefix-sharing incremental simulation at the
-//! certificate level: resuming a refutation's runs from forked mid-run
-//! snapshots is a *performance* layer and must be unobservable in the FLMC
-//! bytes. Every theorem family must encode byte-identically whether its
-//! runs are simulated cold, replayed warm from the whole-run cache, forked
-//! from the prefix trie (whole-run cache cleared, trie kept), fully
-//! bypassed, or bypassed under the inline-sequential scheduler.
+//! The soundness contract of *rebuilding* a refutation's runs at the
+//! certificate level: once the whole-run cache is emptied, re-refuting and
+//! re-verifying must re-execute every run and land on the same FLMC bytes
+//! as the first cold refutation. This is the re-execution path a
+//! prefix-sharing layer would serve by forking stored mid-run snapshots;
+//! the simulator keeps no such layer, so every rebuild here runs from tick
+//! 0, and the test names keep the term "prefix forking" for that path.
 //!
-//! Complements `tests/runcache_determinism.rs`, which pins the same
-//! property for the whole-run cache alone.
+//! Complements `tests/runcache_determinism.rs`, which pins cold, warm,
+//! bypassed and sequential modes without a rebuild in between.
 
 use flm_core::refute;
 use flm_graph::builders;
 use flm_protocols::{resolve, resolve_clock};
 use flm_sim::clock::TimeFn;
-use flm_sim::{prefixcache, runcache};
+use flm_sim::runcache;
 
-/// Both caches are process-global and every test below clears them;
+/// The run cache is process-global and every test below clears it;
 /// serialize so one test's `clear()` cannot race another's assertions.
 static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -26,24 +26,21 @@ fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Encodes one refutation under five execution modes and demands the FLMC
-/// bytes match exactly. The load-bearing mode is `prefix-forked`: the
-/// whole-run cache is cleared but the trie keeps the cold run's snapshots,
-/// so every run re-executes by forking a stored prefix instead of
-/// simulating from tick 0.
-fn assert_prefix_modes_agree(label: &str, run: impl Fn() -> Vec<u8>) {
+/// bytes match exactly. The load-bearing mode is `rebuilt`: the whole-run
+/// cache is cleared after the cold and warm runs, so every run re-executes
+/// in a process that has already simulated it once.
+fn assert_rebuild_modes_agree(label: &str, run: impl Fn() -> Vec<u8>) {
     runcache::clear();
-    prefixcache::clear();
     let cold = run();
     let warm = run();
     runcache::clear();
-    let forked = run();
+    let rebuilt = run();
     runcache::clear();
-    prefixcache::clear();
     let bypassed = runcache::bypass(&run);
     let sequential = flm_par::sequential(|| runcache::bypass(&run));
     for (mode, bytes) in [
         ("whole-run warm", &warm),
-        ("prefix-forked", &forked),
+        ("rebuilt", &rebuilt),
         ("bypassed", &bypassed),
         ("sequential + bypassed", &sequential),
     ] {
@@ -61,30 +58,30 @@ fn discrete_theorem_families_encode_identically_with_prefix_forking() {
     let cyc4 = builders::cycle(4);
 
     let eig = resolve("EIG(f=1)").unwrap();
-    assert_prefix_modes_agree("ba_nodes", || {
+    assert_rebuild_modes_agree("ba_nodes", || {
         refute::ba_nodes(&*eig, &tri, 1).unwrap().to_bytes()
     });
 
     let maj = resolve("NaiveMajority").unwrap();
-    assert_prefix_modes_agree("ba_connectivity", || {
+    assert_rebuild_modes_agree("ba_connectivity", || {
         refute::ba_connectivity(&*maj, &cyc4, 1).unwrap().to_bytes()
     });
 
     let weak = resolve("WeakViaBA(EIG(f=1))").unwrap();
-    assert_prefix_modes_agree("weak_agreement", || {
+    assert_rebuild_modes_agree("weak_agreement", || {
         refute::weak_agreement(&*weak, &tri, 1).unwrap().to_bytes()
     });
 
     let squad = resolve("FiringSquadViaBA(f=1)").unwrap();
-    assert_prefix_modes_agree("firing_squad", || {
+    assert_rebuild_modes_agree("firing_squad", || {
         refute::firing_squad(&*squad, &tri, 1).unwrap().to_bytes()
     });
 
     let dlpsw = resolve("DLPSW(f=1, R=4)").unwrap();
-    assert_prefix_modes_agree("simple_approx", || {
+    assert_rebuild_modes_agree("simple_approx", || {
         refute::simple_approx(&*dlpsw, &tri, 1).unwrap().to_bytes()
     });
-    assert_prefix_modes_agree("eps_delta_gamma", || {
+    assert_rebuild_modes_agree("eps_delta_gamma", || {
         refute::eps_delta_gamma(&*dlpsw, &tri, 1, 0.25, 1.0, 1.0)
             .unwrap()
             .to_bytes()
@@ -93,9 +90,9 @@ fn discrete_theorem_families_encode_identically_with_prefix_forking() {
 
 #[test]
 fn clock_sync_encodes_identically_with_prefix_forking() {
-    // Clock refuters memoize through `memoize_clock` and never touch the
-    // trie (dense real-time runs have no tick-aligned prefix structure);
-    // the assertion pins that the trie's presence cannot perturb them.
+    // Clock refuters memoize through `memoize_clock`: dense real-time runs
+    // have no tick-aligned prefix structure, so a rebuild re-executes the
+    // whole run and must reproduce it exactly.
     let _guard = cache_lock();
     let protocol = resolve_clock("TrivialClockSync").unwrap();
     let claim = flm_core::problems::ClockSyncClaim {
@@ -107,39 +104,11 @@ fn clock_sync_encodes_identically_with_prefix_forking() {
         t_prime: 1.0,
     };
     let tri = builders::triangle();
-    assert_prefix_modes_agree("clock_sync", || {
+    assert_rebuild_modes_agree("clock_sync", || {
         refute::clock_sync(&*protocol, &tri, 1, &claim)
             .unwrap()
             .to_bytes()
     });
-}
-
-#[test]
-fn prefix_forked_re_refutation_actually_resumes_from_the_trie() {
-    let _guard = cache_lock();
-    let eig = resolve("EIG(f=1)").unwrap();
-    let tri = builders::triangle();
-    runcache::clear();
-    prefixcache::clear();
-    prefixcache::reset_stats();
-
-    let cold = refute::ba_nodes(&*eig, &tri, 1).unwrap().to_bytes();
-    let after_cold = prefixcache::stats();
-    assert!(
-        after_cold.entries > 0,
-        "a cold refutation must stock the trie with snapshots, got {after_cold:?}"
-    );
-
-    // Clearing only the whole-run cache forces full re-execution — which
-    // must now resume from stored prefixes rather than tick 0.
-    runcache::clear();
-    let forked = refute::ba_nodes(&*eig, &tri, 1).unwrap().to_bytes();
-    let after_forked = prefixcache::stats();
-    assert_eq!(cold, forked, "prefix-forked bytes diverged");
-    assert!(
-        after_forked.hits > after_cold.hits && after_forked.ticks_saved > after_cold.ticks_saved,
-        "re-refutation should fork trie snapshots, got {after_cold:?} then {after_forked:?}"
-    );
 }
 
 #[test]
@@ -148,39 +117,15 @@ fn certificates_verify_after_prefix_forked_rebuilds() {
     let maj = resolve("NaiveMajority").unwrap();
     let cyc4 = builders::cycle(4);
     runcache::clear();
-    prefixcache::clear();
     let cert = refute::ba_connectivity(&*maj, &cyc4, 1).unwrap();
     // Verify with the whole-run cache emptied: the rebuild re-executes the
-    // violating link by forking the refutation's stored prefixes.
+    // violating link from scratch.
     runcache::clear();
-    cert.verify(&*maj).expect("prefix-forked verify");
-    // And with both layers emptied: a genuinely cold verify still passes.
+    cert.verify(&*maj).expect("rebuilt verify");
+    // Rebuilding twice in a row, and rebuilding on the inline-sequential
+    // scheduler with the cache bypassed, must verify just the same.
     runcache::clear();
-    prefixcache::clear();
-    cert.verify(&*maj).expect("cold verify");
-}
-
-#[test]
-fn disabled_trie_changes_nothing_but_the_counters() {
-    // `runcache::bypass` also bypasses the trie; certificates must come out
-    // identical and the trie must stay unstocked.
-    let _guard = cache_lock();
-    let eig = resolve("EIG(f=1)").unwrap();
-    let tri = builders::triangle();
-    runcache::clear();
-    prefixcache::clear();
-    let with_trie = refute::ba_nodes(&*eig, &tri, 1).unwrap().to_bytes();
-    prefixcache::clear();
-    prefixcache::reset_stats();
-    let without = runcache::bypass(|| {
-        runcache::clear();
-        refute::ba_nodes(&*eig, &tri, 1).unwrap().to_bytes()
-    });
-    assert_eq!(with_trie, without);
-    let stats = prefixcache::stats();
-    assert_eq!(
-        (stats.entries, stats.hits),
-        (0, 0),
-        "bypassed runs must not touch the trie, got {stats:?}"
-    );
+    cert.verify(&*maj).expect("second rebuilt verify");
+    flm_par::sequential(|| runcache::bypass(|| cert.verify(&*maj)))
+        .expect("sequential bypassed verify");
 }
