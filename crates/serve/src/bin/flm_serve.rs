@@ -9,7 +9,7 @@
 //! flm-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!           [--max-body-bytes N] [--read-timeout-ms N] [--max-hold-ms N]
 //!           [--max-requests N] [--max-connections N] [--max-pipelined N]
-//!           [--store-dir DIR] [--store-mem-cap N] [--port-file FILE]
+//!           [--store-dir DIR] [--port-file FILE]
 //!           [--shard-id N --peers ADDR,ADDR,... [--shard-count N]]
 //! ```
 //!
@@ -33,7 +33,7 @@ fn usage() -> &'static str {
     "usage: flm-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
      \x20                [--max-body-bytes N] [--read-timeout-ms N] [--max-hold-ms N]\n\
      \x20                [--max-requests N] [--max-connections N] [--max-pipelined N]\n\
-     \x20                [--store-dir DIR] [--store-mem-cap N] [--port-file FILE]\n\
+     \x20                [--store-dir DIR] [--port-file FILE]\n\
      \x20                [--shard-id N --peers ADDR,ADDR,... [--shard-count N]]"
 }
 
@@ -101,13 +101,6 @@ fn parse(args: &[String]) -> Result<ServeConfig, String> {
             }
             "--store-dir" => {
                 config.store_dir = Some(value("--store-dir")?.into());
-            }
-            "--store-mem-cap" => {
-                config.store_mem_cap = Some(
-                    value("--store-mem-cap")?
-                        .parse()
-                        .map_err(|_| "--store-mem-cap wants an integer".to_string())?,
-                );
             }
             "--shard-id" => {
                 shard_id = Some(

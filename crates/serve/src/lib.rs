@@ -23,26 +23,30 @@
 //! * [`store`] — the content-addressed on-disk certificate store: one
 //!   `FLMC` file per canonical query key, written atomically, verified on
 //!   load, quarantined on damage. Warm hits survive restarts.
-//! * [`server`] — the event-driven serve plane: one reactor thread
-//!   multiplexing pipelined connections over [`sys`], a worker pool for
-//!   CPU-bound refutations, and typed load shedding — a saturated server
-//!   answers [`rpc::Response::Overloaded`] instead of dropping the socket.
+//! * `front` (private) — the front end both reactors share: listener and
+//!   listen backlog, accept and connection shedding, incremental framing
+//!   with typed answers to hostile bytes, in-order pipelined responses,
+//!   flush with epoll-interest re-derivation, idle sweep, and the run loop
+//!   with its shutdown drain. A reactor plugs in as a `Service`.
+//! * [`server`] — the serve plane's `Service`: per-connection request
+//!   budgets, inline or worker-pool dispatch, and typed request shedding —
+//!   a saturated server answers [`rpc::Response::Overloaded`] instead of
+//!   dropping the socket.
 //! * [`shard`] — the cluster topology: a [`shard::ShardMap`] with a
 //!   canonical wire encoding, rendezvous ownership over canonical query
 //!   keys, and the store-rebalance walk that ships misplaced certificates
 //!   to their owners.
-//! * [`router`] — the sharded front: a second reactor on [`sys`] that
-//!   routes each keyed request to its owning shard over persistent
-//!   pipelined backend connections, fans Stats out into a cluster view,
-//!   and degrades a dead shard to typed [`rpc::Response::ShardDown`]
-//!   answers for that key range only.
+//! * [`router`] — the sharded front's `Service`: routes each keyed
+//!   request to its owning shard over persistent pipelined backend
+//!   connections, fans Stats out into a cluster view, and degrades a dead
+//!   shard to typed [`rpc::Response::ShardDown`] answers for that key
+//!   range only.
 //! * [`client`] / [`loadgen`] — the blocking client and the deterministic
 //!   load generator behind `flm-client` and `BENCH_serve.json`.
 //!
-//! Every worker shares the process-global run cache, so a certificate one
-//! connection paid to compute is a warm hit for every later connection
-//! asking the same canonical query — and, with a store directory
-//! configured, for every later *process* asking it. Sharding extends the
+//! With a store directory configured, a certificate one request paid to
+//! compute is a byte lookup for every later request asking the same
+//! canonical query, in this process or a later one. Sharding extends the
 //! same economics across machines: rendezvous hashing gives each canonical
 //! query exactly one owner, so the cluster simulates each universe once.
 
@@ -52,6 +56,7 @@
 pub mod audit;
 pub mod client;
 pub mod frame;
+mod front;
 pub mod loadgen;
 pub mod query;
 pub mod router;

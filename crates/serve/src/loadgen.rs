@@ -505,15 +505,12 @@ pub fn run_router(
     }
     let after = cluster_snapshot(addr)?;
     for range in &mut ranges {
-        // Store tiers only: per-request warmth. The run cache counts
-        // memoized sub-runs inside a search and would overshoot the
-        // request count on any simulating shard.
         let warm = |snap: &crate::rpc::ClusterStatsReport| {
             snap.shards
                 .iter()
                 .find(|s| s.shard == range.shard)
                 .and_then(|s| s.report.as_ref())
-                .map_or(0, |r| r.store_mem_hits + r.store_disk_hits)
+                .map_or(0, crate::rpc::StatsReport::warm_hits)
         };
         range.warm_hits_gained = warm(&after).saturating_sub(warm(&before));
     }

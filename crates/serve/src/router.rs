@@ -17,8 +17,9 @@
 //! serve plane's pipelining contract), a per-backend FIFO of pending
 //! entries is all the correlation the router needs: the k-th response
 //! frame on a backend belongs to the k-th unanswered request the router
-//! wrote to it. Front responses leave in front-request order through the
-//! same slot discipline the server uses.
+//! wrote to it. Front connections run on the front end the server uses
+//! too (the crate's `front` module), so framing, pipelining and the
+//! hostile-input answers are the same code on both.
 //!
 //! # Failure semantics
 //!
@@ -39,8 +40,8 @@
 //! open — per-shard backpressure, not per-router.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read as _;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,11 +49,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::frame::{Frame, FrameError, DEFAULT_MAX_BODY_BYTES};
+use crate::front::{self, Front, Limits, Service, FIRST_SERVICE_TOKEN};
 use crate::rpc::{
     ClusterStatsReport, ErrorCode, Request, Response, RouterStatsReport, ShardStatus,
 };
 use crate::shard::{self, ShardMap};
-use crate::sys::{self, Interest, Poller};
+use crate::sys::{self, Event, Interest};
 
 /// Router configuration. [`RouterConfig::new`] sizes every knob for the
 /// loopback quickstart.
@@ -99,13 +101,10 @@ impl RouterConfig {
 /// Router counters, shared with the handle for observability.
 #[derive(Default)]
 struct Counters {
-    connections_accepted: AtomicU64,
-    connections_shed: AtomicU64,
+    front: Arc<front::Counters>,
     requests_routed: AtomicU64,
     requests_local: AtomicU64,
     requests_shed: AtomicU64,
-    responses_error: AtomicU64,
-    malformed_frames: AtomicU64,
     shard_down_answers: AtomicU64,
     backend_reconnects: AtomicU64,
 }
@@ -128,13 +127,13 @@ impl Shared {
     fn snapshot(&self) -> RouterStatsReport {
         let c = &self.counters;
         RouterStatsReport {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_shed: c.connections_shed.load(Ordering::Relaxed),
+            connections_accepted: c.front.connections_accepted.load(Ordering::Relaxed),
+            connections_shed: c.front.connections_shed.load(Ordering::Relaxed),
             requests_routed: c.requests_routed.load(Ordering::Relaxed),
             requests_local: c.requests_local.load(Ordering::Relaxed),
             requests_shed: c.requests_shed.load(Ordering::Relaxed),
-            responses_error: c.responses_error.load(Ordering::Relaxed),
-            malformed_frames: c.malformed_frames.load(Ordering::Relaxed),
+            responses_error: c.front.responses_error.load(Ordering::Relaxed),
+            malformed_frames: c.front.malformed_frames.load(Ordering::Relaxed),
             shard_down_answers: c.shard_down_answers.load(Ordering::Relaxed),
             backend_reconnects: c.backend_reconnects.load(Ordering::Relaxed),
         }
@@ -160,13 +159,20 @@ impl Router {
     /// Propagates bind and poller-creation failures only; backend connects
     /// are retried, never fatal.
     pub fn start(config: RouterConfig) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let poller = Poller::new()?;
-        let (waker, wake_rx) = sys::wake_channel()?;
-        poller.register(listener.as_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        poller.register(wake_rx.as_fd(), TOKEN_WAKER, Interest::READABLE)?;
+        let counters = Counters::default();
+        let limits = Limits {
+            max_connections: config.max_connections,
+            max_pipelined: config.max_pipelined,
+            max_body_bytes: config.max_body_bytes,
+            idle_timeout: config.idle_timeout,
+        };
+        let (front, waker) = Front::bind(
+            &config.addr,
+            limits,
+            Arc::clone(&counters.front),
+            FIRST_SERVICE_TOKEN + u64::from(config.shards.count()),
+        )?;
+        let local_addr = front.local_addr()?;
         let gauges = (0..config.shards.count())
             .map(|_| ShardGauge {
                 routed: AtomicU64::new(0),
@@ -175,14 +181,14 @@ impl Router {
             .collect();
         let shared = Arc::new(Shared {
             config,
-            counters: Counters::default(),
+            counters,
             gauges,
             shutdown: AtomicBool::new(false),
             waker,
         });
         let reactor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || Reactor::new(listener, wake_rx, poller, shared).run())
+            std::thread::spawn(move || front.run(&mut Reactor::new(shared)))
         };
         Ok(Router {
             local_addr,
@@ -234,66 +240,10 @@ impl Drop for Router {
     }
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-/// Backend tokens are fixed at `2..2 + shard_count`; front connection
-/// tokens start above them.
-const FIRST_BACKEND_TOKEN: u64 = 2;
-
 /// Bounded blocking connect for backends: a dead shard costs at most this
 /// per reconnect attempt, on the reactor thread by design (the sweep runs
 /// at 1 Hz, so worst case is `250ms × dead shards` per second).
 const BACKEND_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// See `server::DISCARD_BUDGET` — same FIN-not-RST close discipline.
-const DISCARD_BUDGET: usize = 64 * 1024;
-
-/// One front request awaiting its response bytes, in pipeline order.
-struct Slot {
-    seq: u64,
-    response: Option<Vec<u8>>,
-}
-
-/// Per-front-connection state machine (the server's `Conn`, minus the
-/// worker bookkeeping).
-struct FrontConn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    inflight: VecDeque<Slot>,
-    next_seq: u64,
-    interest: Interest,
-    eof: bool,
-    closing: bool,
-    discarding: usize,
-    last_activity: Instant,
-}
-
-impl FrontConn {
-    fn new(stream: TcpStream, now: Instant) -> FrontConn {
-        FrontConn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            inflight: VecDeque::new(),
-            next_seq: 0,
-            interest: Interest::READABLE,
-            eof: false,
-            closing: false,
-            discarding: 0,
-            last_activity: now,
-        }
-    }
-
-    fn idle(&self) -> bool {
-        self.inflight.is_empty() && self.write_buf.is_empty()
-    }
-
-    /// True while any slot waits on a backend (or a stats aggregation).
-    fn backend_pending(&self) -> bool {
-        self.inflight.iter().any(|s| s.response.is_none())
-    }
-}
 
 /// Who is waiting for the next response frame on a backend. FIFO per
 /// backend is sound because shards answer in strict request order.
@@ -317,8 +267,10 @@ struct Backend {
 }
 
 impl Backend {
+    /// Backend tokens are fixed at `FIRST_SERVICE_TOKEN..+shard_count`;
+    /// front connection tokens start above them.
     fn token(&self) -> u64 {
-        FIRST_BACKEND_TOKEN + u64::from(self.shard)
+        FIRST_SERVICE_TOKEN + u64::from(self.shard)
     }
 }
 
@@ -333,28 +285,136 @@ struct StatsAgg {
     outstanding: usize,
 }
 
+/// The router's half of the reactor: shard backends, forwarding, typed
+/// `ShardDown` answers and Stats aggregation. Front connections — framing,
+/// pipelining, idle timeouts, the shutdown drain — are [`Front`]'s.
 struct Reactor {
-    listener: TcpListener,
-    wake_rx: std::os::unix::net::UnixStream,
-    poller: Poller,
     shared: Arc<Shared>,
-    fronts: HashMap<u64, FrontConn>,
     backends: Vec<Backend>,
     aggs: HashMap<u64, StatsAgg>,
-    next_front_token: u64,
     next_agg: u64,
-    accepting: bool,
+}
+
+impl Service for Reactor {
+    type ConnState = ();
+
+    fn shutting_down(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Routes one well-framed front request: decode just enough to pick the
+    /// shard, then forward the frame bytes verbatim — the shard's encoder
+    /// and the client's agree because they are the same code.
+    fn frame(&mut self, front: &mut Front<()>, token: u64, frame: Frame) {
+        let Some(request) = front.decode_request(token, &frame) else {
+            return;
+        };
+        let Some(seq) = front.open_slot(token) else {
+            return;
+        };
+        let shared = Arc::clone(&self.shared);
+        let c = &shared.counters;
+        let count = shared.config.shards.count();
+        let shard = match request {
+            Request::Ping { payload, .. } => {
+                // The router answers pings itself, with zero hold: a pong
+                // through the router proves the router, not a shard.
+                c.requests_local.fetch_add(1, Ordering::Relaxed);
+                front.fill(token, seq, &Response::Pong { payload });
+                return;
+            }
+            Request::Stats => {
+                c.requests_local.fetch_add(1, Ordering::Relaxed);
+                self.start_stats(front, token, seq);
+                return;
+            }
+            Request::Refute(params) => match shard::routing_key(&params) {
+                Ok(key) => shard::owner_for_count(count, key.fingerprint()),
+                Err(e) => {
+                    let response = Response::Error {
+                        code: ErrorCode::BadRequest,
+                        detail: e.to_string(),
+                    };
+                    front.fill(token, seq, &response);
+                    return;
+                }
+            },
+            // Any shard can verify or audit; fingerprint-of-bytes routing
+            // spreads the CPU deterministically.
+            Request::Verify { cert } | Request::Audit { cert } => {
+                shard::owner_for_count(count, flm_sim::runcache::fingerprint(&cert))
+            }
+            Request::FetchCert { key } | Request::PutCert { key, .. } => {
+                shard::owner_for_count(count, flm_sim::runcache::fingerprint(&key))
+            }
+        };
+        let Ok(bytes) = frame.encode() else {
+            let response = Response::Error {
+                code: ErrorCode::Internal,
+                detail: "request frame failed to re-encode".into(),
+            };
+            front.fill(token, seq, &response);
+            return;
+        };
+        match self.forward(front, shard, &bytes, Pending::Front { conn: token, seq }) {
+            ForwardOutcome::Sent => {
+                c.requests_routed.fetch_add(1, Ordering::Relaxed);
+            }
+            ForwardOutcome::Down => {
+                c.shard_down_answers.fetch_add(1, Ordering::Relaxed);
+                let response = Response::ShardDown {
+                    shard,
+                    detail: format!(
+                        "shard {shard} at {} is unreachable; its key range is degraded",
+                        shared.config.shards.addr(shard)
+                    ),
+                };
+                front.fill(token, seq, &response);
+            }
+            ForwardOutcome::Saturated => {
+                c.requests_shed.fetch_add(1, Ordering::Relaxed);
+                let pending = self.backends[shard as usize].pending.len() as u32;
+                let response = Response::Overloaded {
+                    queued: pending,
+                    detail: format!(
+                        "shard {shard} has {pending} requests in flight (cap {}); retry later",
+                        shared.config.backend_pending_cap
+                    ),
+                };
+                front.fill(token, seq, &response);
+            }
+        }
+    }
+
+    fn event(&mut self, front: &mut Front<()>, event: &Event) {
+        let shard = (event.token - FIRST_SERVICE_TOKEN) as u32;
+        if self.backends[shard as usize].stream.is_none() {
+            return;
+        }
+        if event.writable && !self.flush_backend(front, shard) {
+            return;
+        }
+        self.backend_readable(front, shard);
+    }
+
+    /// Reconnects down backends; the pass before serving means a cluster
+    /// whose shards are already up routes from the first request.
+    fn sweep(&mut self, front: &mut Front<()>) {
+        for shard in 0..self.backends.len() as u32 {
+            self.try_connect(front, shard);
+        }
+    }
+
+    /// Drops any stats aggregation whose asker is gone: answer legs still
+    /// in backend FIFOs will find the aggregation missing and no-op.
+    fn closed(&mut self, token: u64) {
+        self.aggs.retain(|_, agg| agg.conn != token);
+    }
 }
 
 impl Reactor {
-    fn new(
-        listener: TcpListener,
-        wake_rx: std::os::unix::net::UnixStream,
-        poller: Poller,
-        shared: Arc<Shared>,
-    ) -> Reactor {
-        let count = shared.config.shards.count();
-        let backends = (0..count)
+    fn new(shared: Arc<Shared>) -> Reactor {
+        let backends = (0..shared.config.shards.count())
             .map(|shard| Backend {
                 shard,
                 stream: None,
@@ -366,90 +426,28 @@ impl Reactor {
             })
             .collect();
         Reactor {
-            listener,
-            wake_rx,
-            poller,
             shared,
-            fronts: HashMap::new(),
             backends,
             aggs: HashMap::new(),
-            next_front_token: FIRST_BACKEND_TOKEN + u64::from(count),
             next_agg: 0,
-            accepting: true,
-        }
-    }
-
-    fn run(mut self) {
-        // First connect pass before serving: a cluster whose shards are
-        // already up routes from the first request.
-        for shard in 0..self.backends.len() as u32 {
-            self.try_connect(shard);
-        }
-        let mut events = Vec::new();
-        let mut last_sweep = Instant::now();
-        let mut shutdown_at: Option<Instant> = None;
-        loop {
-            if self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(250)))
-                .is_err()
-            {
-                continue;
-            }
-            let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
-            if shutting_down && self.accepting {
-                let _ = self.poller.deregister(self.listener.as_fd());
-                self.accepting = false;
-                for conn in self.fronts.values_mut() {
-                    conn.closing = true;
-                }
-                shutdown_at = Some(Instant::now());
-            }
-            let backend_count = self.backends.len() as u64;
-            for ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => sys::drain_wakes(&self.wake_rx),
-                    t if t < FIRST_BACKEND_TOKEN + backend_count => {
-                        self.backend_event((t - FIRST_BACKEND_TOKEN) as u32, ev.writable);
-                    }
-                    t => self.front_event(t, ev.readable, ev.writable, ev.hangup),
-                }
-            }
-            let now = Instant::now();
-            if now.duration_since(last_sweep) >= Duration::from_secs(1) {
-                last_sweep = now;
-                self.sweep(now);
-            }
-            if shutting_down {
-                let tokens: Vec<u64> = self
-                    .fronts
-                    .iter()
-                    .filter(|(_, c)| c.idle())
-                    .map(|(&t, _)| t)
-                    .collect();
-                for token in tokens {
-                    self.close_front(token);
-                }
-                let deadline_passed =
-                    shutdown_at.is_some_and(|t| now.duration_since(t) > Duration::from_secs(5));
-                if self.fronts.is_empty() || deadline_passed {
-                    return;
-                }
-            }
         }
     }
 
     // ---- backends ----------------------------------------------------
 
-    /// Attempts one bounded connect to a down backend.
-    fn try_connect(&mut self, shard: u32) {
+    /// Attempts one bounded connect to a down backend whose retry timer
+    /// has expired.
+    fn try_connect(&mut self, front: &Front<()>, shard: u32) {
         let addr = self.shared.config.shards.addr(shard).to_owned();
         let backend = &mut self.backends[shard as usize];
-        if backend.stream.is_some() {
+        let now = Instant::now();
+        let due = backend
+            .last_attempt
+            .is_none_or(|t| now.duration_since(t) >= self.shared.config.reconnect_interval);
+        if backend.stream.is_some() || !due {
             return;
         }
-        backend.last_attempt = Some(Instant::now());
+        backend.last_attempt = Some(now);
         let Some(sockaddr) = resolve_first(&addr) else {
             return;
         };
@@ -460,8 +458,8 @@ impl Reactor {
             return;
         }
         let token = backend.token();
-        if self
-            .poller
+        if front
+            .poller()
             .register(stream.as_fd(), token, Interest::READABLE)
             .is_err()
         {
@@ -482,10 +480,10 @@ impl Reactor {
 
     /// Tears a backend down and answers everything pending on it: forwarded
     /// requests become typed `ShardDown`, stats legs report the shard down.
-    fn fail_backend(&mut self, shard: u32, why: &str) {
+    fn fail_backend(&mut self, front: &mut Front<()>, shard: u32, why: &str) {
         let backend = &mut self.backends[shard as usize];
         if let Some(stream) = backend.stream.take() {
-            let _ = self.poller.deregister(stream.as_fd());
+            let _ = front.poller().deregister(stream.as_fd());
         }
         backend.read_buf.clear();
         backend.write_buf.clear();
@@ -506,25 +504,15 @@ impl Reactor {
                         shard,
                         detail: detail.clone(),
                     };
-                    self.fill_front_slot(conn, seq, &response);
-                    self.advance_front(conn);
+                    front.fill(conn, seq, &response);
+                    front.advance(conn, self);
                 }
-                Pending::Stats { agg } => self.stats_leg_down(agg, shard),
+                Pending::Stats { agg } => self.stats_leg_answered(front, agg, shard, None),
             }
         }
     }
 
-    fn backend_event(&mut self, shard: u32, writable: bool) {
-        if self.backends[shard as usize].stream.is_none() {
-            return;
-        }
-        if writable && !self.flush_backend(shard) {
-            return;
-        }
-        self.backend_readable(shard);
-    }
-
-    fn backend_readable(&mut self, shard: u32) {
+    fn backend_readable(&mut self, front: &mut Front<()>, shard: u32) {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let backend = &mut self.backends[shard as usize];
@@ -533,12 +521,12 @@ impl Reactor {
             };
             match stream.read(&mut chunk) {
                 Ok(0) => {
-                    self.fail_backend(shard, "peer closed");
+                    self.fail_backend(front, shard, "peer closed");
                     return;
                 }
                 Ok(n) => {
                     backend.read_buf.extend_from_slice(&chunk[..n]);
-                    if !self.parse_backend(shard) {
+                    if !self.parse_backend(front, shard) {
                         return;
                     }
                 }
@@ -546,91 +534,76 @@ impl Reactor {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     let why = e.to_string();
-                    self.fail_backend(shard, &why);
+                    self.fail_backend(front, shard, &why);
                     return;
                 }
             }
         }
-        self.update_backend_interest(shard);
+        self.update_backend_interest(front, shard);
     }
 
     /// Parses complete response frames off a backend, pairing each with the
     /// front of its FIFO. Returns false when the backend was failed.
-    fn parse_backend(&mut self, shard: u32) -> bool {
+    fn parse_backend(&mut self, front: &mut Front<()>, shard: u32) -> bool {
         let max_body = self.shared.config.max_body_bytes;
-        let mut consumed = 0;
         loop {
             let backend = &mut self.backends[shard as usize];
-            match Frame::decode(&backend.read_buf[consumed..], max_body) {
+            let frame = match Frame::decode(&backend.read_buf, max_body) {
                 Ok((frame, n)) => {
-                    consumed += n;
-                    let Some(entry) = backend.pending.pop_front() else {
-                        // A response with no matching request: the backend
-                        // broke the pipelining contract. Drop it.
-                        self.fail_backend(shard, "unsolicited response frame");
-                        return false;
-                    };
-                    match entry {
-                        Pending::Front { conn, seq } => {
-                            // Pass-through: the shard's bytes are the
-                            // answer, re-encoded verbatim.
-                            if let Ok(bytes) = frame.encode() {
-                                self.fill_front_slot_bytes(conn, seq, bytes);
-                            }
-                            self.advance_front(conn);
-                        }
-                        Pending::Stats { agg } => {
-                            let report = match Response::from_frame(&frame) {
-                                Ok(Response::Stats(report)) => Some(report),
-                                _ => None,
-                            };
-                            self.stats_leg_answered(agg, shard, report);
-                        }
-                    }
+                    // Consumed before anyone is answered: an answer can
+                    // re-enter this backend (a front's next request is
+                    // forwarded, and a failed write clears the buffer).
+                    backend.read_buf.drain(..n);
+                    frame
                 }
-                Err(FrameError::Truncated) => break,
+                Err(FrameError::Truncated) => return true,
                 Err(_) => {
-                    self.fail_backend(shard, "malformed response frame");
+                    self.fail_backend(front, shard, "malformed response frame");
                     return false;
+                }
+            };
+            let Some(entry) = backend.pending.pop_front() else {
+                // A response with no matching request: the backend broke
+                // the pipelining contract. Drop it.
+                self.fail_backend(front, shard, "unsolicited response frame");
+                return false;
+            };
+            match entry {
+                Pending::Front { conn, seq } => {
+                    // Pass-through: the shard's bytes are the answer,
+                    // re-encoded verbatim.
+                    if let Ok(bytes) = frame.encode() {
+                        front.fill_bytes(conn, seq, bytes);
+                    }
+                    front.advance(conn, self);
+                }
+                Pending::Stats { agg } => {
+                    let report = match Response::from_frame(&frame) {
+                        Ok(Response::Stats(report)) => Some(report),
+                        _ => None,
+                    };
+                    self.stats_leg_answered(front, agg, shard, report);
                 }
             }
         }
-        self.backends[shard as usize].read_buf.drain(..consumed);
-        true
     }
 
     /// Returns false when the backend was failed.
-    fn flush_backend(&mut self, shard: u32) -> bool {
-        loop {
-            let backend = &mut self.backends[shard as usize];
-            let Some(stream) = backend.stream.as_mut() else {
-                return false;
-            };
-            if backend.write_buf.is_empty() {
-                break;
-            }
-            match stream.write(&backend.write_buf) {
-                Ok(0) => {
-                    self.fail_backend(shard, "write returned 0");
-                    return false;
-                }
-                Ok(n) => {
-                    backend.write_buf.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    let why = e.to_string();
-                    self.fail_backend(shard, &why);
-                    return false;
-                }
-            }
+    fn flush_backend(&mut self, front: &mut Front<()>, shard: u32) -> bool {
+        let backend = &mut self.backends[shard as usize];
+        let Some(stream) = &backend.stream else {
+            return false;
+        };
+        if let Err(e) = front::write_out(stream, &mut backend.write_buf) {
+            let why = e.to_string();
+            self.fail_backend(front, shard, &why);
+            return false;
         }
-        self.update_backend_interest(shard);
+        self.update_backend_interest(front, shard);
         true
     }
 
-    fn update_backend_interest(&mut self, shard: u32) {
+    fn update_backend_interest(&mut self, front: &mut Front<()>, shard: u32) {
         let backend = &mut self.backends[shard as usize];
         let Some(stream) = &backend.stream else {
             return;
@@ -640,30 +613,29 @@ impl Reactor {
             writable: !backend.write_buf.is_empty(),
         };
         if wanted != backend.interest {
-            if self
-                .poller
+            if front
+                .poller()
                 .modify(stream.as_fd(), backend.token(), wanted)
                 .is_ok()
             {
                 backend.interest = wanted;
             } else {
-                self.fail_backend(shard, "poller modify failed");
+                self.fail_backend(front, shard, "poller modify failed");
             }
         }
     }
 
     /// Queues a request on a backend (connecting lazily if the retry timer
-    /// allows) and records who is waiting. Returns false when the shard is
-    /// down or at its pending cap — the caller answers typed.
-    fn forward(&mut self, shard: u32, frame_bytes: &[u8], entry: Pending) -> ForwardOutcome {
-        if self.backends[shard as usize].stream.is_none() {
-            let due = self.backends[shard as usize].last_attempt.is_none_or(|t| {
-                Instant::now().duration_since(t) >= self.shared.config.reconnect_interval
-            });
-            if due {
-                self.try_connect(shard);
-            }
-        }
+    /// allows) and records who is waiting. Reports `Down` or `Saturated`
+    /// when the shard cannot take it — the caller answers typed.
+    fn forward(
+        &mut self,
+        front: &mut Front<()>,
+        shard: u32,
+        frame_bytes: &[u8],
+        entry: Pending,
+    ) -> ForwardOutcome {
+        self.try_connect(front, shard);
         let cap = self.shared.config.backend_pending_cap;
         let backend = &mut self.backends[shard as usize];
         if backend.stream.is_none() {
@@ -677,11 +649,9 @@ impl Reactor {
         self.shared.gauges[shard as usize]
             .routed
             .fetch_add(1, Ordering::Relaxed);
-        if !self.flush_backend(shard) {
-            // The write tore the connection down; pending (including this
-            // entry) was already answered by fail_backend.
-            return ForwardOutcome::Sent;
-        }
+        // A write that tears the connection down has already answered
+        // every pending entry, this one included.
+        self.flush_backend(front, shard);
         ForwardOutcome::Sent
     }
 
@@ -689,7 +659,7 @@ impl Reactor {
 
     /// Starts a Stats aggregation for one front slot: snapshot the router,
     /// fan a Stats request out to every shard, mark down shards instantly.
-    fn start_stats(&mut self, conn: u64, seq: u64) {
+    fn start_stats(&mut self, front: &mut Front<()>, conn: u64, seq: u64) {
         let count = self.shared.config.shards.count();
         let agg_id = self.next_agg;
         self.next_agg += 1;
@@ -708,19 +678,20 @@ impl Reactor {
             .encode()
             .expect("a Stats frame always encodes");
         for shard in 0..count {
-            match self.forward(shard, &stats_frame, Pending::Stats { agg: agg_id }) {
+            match self.forward(front, shard, &stats_frame, Pending::Stats { agg: agg_id }) {
                 ForwardOutcome::Sent => {}
                 ForwardOutcome::Down | ForwardOutcome::Saturated => {
-                    self.stats_leg_down(agg_id, shard);
+                    self.stats_leg_answered(front, agg_id, shard, None);
                 }
             }
         }
-        // All shards down: the aggregation may already be complete.
-        self.finish_stats_if_done(agg_id);
     }
 
+    /// Records one shard's row (`None`: the shard is down) and answers the
+    /// front slot once every row is in.
     fn stats_leg_answered(
         &mut self,
+        front: &mut Front<()>,
         agg_id: u64,
         shard: u32,
         report: Option<crate::rpc::StatsReport>,
@@ -729,29 +700,18 @@ impl Reactor {
             .routed
             .load(Ordering::Relaxed);
         let addr = self.shared.config.shards.addr(shard).to_owned();
-        if let Some(agg) = self.aggs.get_mut(&agg_id) {
-            agg.shards[shard as usize] = Some(ShardStatus {
-                shard,
-                addr,
-                up: report.is_some(),
-                routed,
-                report,
-            });
-            agg.outstanding -= 1;
-        }
-        self.finish_stats_if_done(agg_id);
-    }
-
-    fn stats_leg_down(&mut self, agg_id: u64, shard: u32) {
-        self.stats_leg_answered(agg_id, shard, None);
-    }
-
-    fn finish_stats_if_done(&mut self, agg_id: u64) {
-        let done = self
-            .aggs
-            .get(&agg_id)
-            .is_some_and(|agg| agg.outstanding == 0);
-        if !done {
+        let Some(agg) = self.aggs.get_mut(&agg_id) else {
+            return;
+        };
+        agg.shards[shard as usize] = Some(ShardStatus {
+            shard,
+            addr,
+            up: report.is_some(),
+            routed,
+            report,
+        });
+        agg.outstanding -= 1;
+        if agg.outstanding > 0 {
             return;
         }
         let Some(agg) = self.aggs.remove(&agg_id) else {
@@ -761,476 +721,8 @@ impl Reactor {
             router: agg.router,
             shards: agg.shards.into_iter().flatten().collect(),
         };
-        let (conn, seq) = (agg.conn, agg.seq);
-        self.fill_front_slot(conn, seq, &Response::ClusterStats(report));
-        self.advance_front(conn);
-    }
-
-    // ---- fronts -------------------------------------------------------
-
-    fn accept_ready(&mut self) {
-        while self.accepting {
-            let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            let _ = stream.set_nodelay(true);
-            if self.fronts.len() >= self.shared.config.max_connections {
-                self.shed_front(stream);
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let token = self.next_front_token;
-            self.next_front_token += 1;
-            if self
-                .poller
-                .register(stream.as_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                continue;
-            }
-            self.shared
-                .counters
-                .connections_accepted
-                .fetch_add(1, Ordering::Relaxed);
-            self.fronts
-                .insert(token, FrontConn::new(stream, Instant::now()));
-        }
-    }
-
-    fn shed_front(&self, mut stream: TcpStream) {
-        self.shared
-            .counters
-            .connections_shed
-            .fetch_add(1, Ordering::Relaxed);
-        let response = Response::Overloaded {
-            queued: self.fronts.len() as u32,
-            detail: format!(
-                "router serving {} connections (cap {}); retry later",
-                self.fronts.len(),
-                self.shared.config.max_connections
-            ),
-        };
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-        if let Ok(bytes) = response.to_frame().encode() {
-            let _ = stream.write_all(&bytes);
-        }
-    }
-
-    fn front_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
-        if !self.fronts.contains_key(&token) {
-            return;
-        }
-        if hangup {
-            self.close_front(token);
-            return;
-        }
-        if writable && !self.flush_front(token) {
-            return;
-        }
-        if readable {
-            self.front_readable(token);
-        }
-    }
-
-    fn front_readable(&mut self, token: u64) {
-        let mut chunk = [0u8; 16 * 1024];
-        let cap = self.shared.config.max_pipelined;
-        loop {
-            let Some(conn) = self.fronts.get_mut(&token) else {
-                return;
-            };
-            let want_read =
-                conn.discarding > 0 || (!conn.eof && !conn.closing && conn.inflight.len() < cap);
-            if !want_read {
-                break;
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    conn.discarding = 0;
-                    break;
-                }
-                Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    if conn.discarding > 0 {
-                        conn.discarding = conn.discarding.saturating_sub(n);
-                        continue;
-                    }
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    if !self.parse_front(token) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_front(token);
-                    return;
-                }
-            }
-        }
-        self.advance_front(token);
-    }
-
-    fn advance_front(&mut self, token: u64) {
-        if !self.parse_front(token) {
-            return;
-        }
-        let cap = self.shared.config.max_pipelined;
-        let mut close_now = false;
-        let mut leftover_garbage = false;
-        if let Some(conn) = self.fronts.get_mut(&token) {
-            if conn.eof && !conn.closing {
-                if conn.read_buf.is_empty() {
-                    if conn.idle() {
-                        close_now = true;
-                    } else {
-                        conn.closing = true;
-                    }
-                } else if conn.inflight.len() < cap {
-                    leftover_garbage = true;
-                }
-            }
-        } else {
-            return;
-        }
-        if close_now {
-            self.close_front(token);
-            return;
-        }
-        if leftover_garbage {
-            self.shared
-                .counters
-                .malformed_frames
-                .fetch_add(1, Ordering::Relaxed);
-            let detail = FrameError::Truncated.to_string();
-            self.queue_front_error(token, ErrorCode::MalformedFrame, &detail);
-            if let Some(conn) = self.fronts.get_mut(&token) {
-                conn.read_buf.clear();
-                conn.closing = true;
-            }
-        }
-        if !self.flush_front(token) {
-            return;
-        }
-        self.update_front_interest(token);
-    }
-
-    fn parse_front(&mut self, token: u64) -> bool {
-        let mut consumed = 0;
-        loop {
-            let Some(conn) = self.fronts.get_mut(&token) else {
-                return false;
-            };
-            if conn.closing || conn.inflight.len() >= self.shared.config.max_pipelined {
-                break;
-            }
-            let max_body = self.shared.config.max_body_bytes;
-            match Frame::decode(&conn.read_buf[consumed..], max_body) {
-                Ok((frame, n)) => {
-                    consumed += n;
-                    conn.last_activity = Instant::now();
-                    self.route_frame(token, &frame);
-                }
-                Err(FrameError::Truncated) => break,
-                Err(e) => {
-                    self.shared
-                        .counters
-                        .malformed_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    let detail = e.to_string();
-                    self.queue_front_error(token, ErrorCode::MalformedFrame, &detail);
-                    if let Some(conn) = self.fronts.get_mut(&token) {
-                        conn.read_buf.clear();
-                        conn.closing = true;
-                        conn.discarding = DISCARD_BUDGET;
-                    }
-                    return true;
-                }
-            }
-        }
-        if let Some(conn) = self.fronts.get_mut(&token) {
-            conn.read_buf.drain(..consumed);
-        }
-        true
-    }
-
-    /// Routes one well-framed front request: decode just enough to pick the
-    /// shard, then forward the frame bytes verbatim — the shard's encoder
-    /// and the client's agree because they are the same code.
-    fn route_frame(&mut self, token: u64, frame: &Frame) {
-        let Some(conn) = self.fronts.get_mut(&token) else {
-            return;
-        };
-        let request = match Request::from_frame(frame) {
-            Ok(request) => request,
-            Err(e) => {
-                self.shared
-                    .counters
-                    .malformed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                let detail = e.to_string();
-                self.queue_front_error(token, ErrorCode::MalformedFrame, &detail);
-                return;
-            }
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(Slot {
-            seq,
-            response: None,
-        });
-        let shared = Arc::clone(&self.shared);
-        let c = &shared.counters;
-        let count = shared.config.shards.count();
-        let shard = match &request {
-            Request::Ping { payload, .. } => {
-                // The router answers pings itself, with zero hold: a pong
-                // through the router proves the router, not a shard.
-                c.requests_local.fetch_add(1, Ordering::Relaxed);
-                let response = Response::Pong {
-                    payload: payload.clone(),
-                };
-                self.fill_front_slot(token, seq, &response);
-                return;
-            }
-            Request::Stats => {
-                c.requests_local.fetch_add(1, Ordering::Relaxed);
-                self.start_stats(token, seq);
-                return;
-            }
-            Request::Refute(params) => match shard::routing_key(params) {
-                Ok(key) => shard::owner_for_count(count, key.fingerprint()),
-                Err(e) => {
-                    let detail = e.to_string();
-                    self.queue_front_response(
-                        token,
-                        seq,
-                        &Response::Error {
-                            code: ErrorCode::BadRequest,
-                            detail,
-                        },
-                    );
-                    return;
-                }
-            },
-            // Any shard can verify or audit; fingerprint-of-bytes routing
-            // spreads the CPU deterministically.
-            Request::Verify { cert } | Request::Audit { cert } => {
-                shard::owner_for_count(count, flm_sim::runcache::fingerprint(cert))
-            }
-            Request::FetchCert { key } => {
-                shard::owner_for_count(count, flm_sim::runcache::fingerprint(key))
-            }
-            Request::PutCert { key, .. } => {
-                shard::owner_for_count(count, flm_sim::runcache::fingerprint(key))
-            }
-        };
-        let Ok(bytes) = frame.encode() else {
-            self.queue_front_response(
-                token,
-                seq,
-                &Response::Error {
-                    code: ErrorCode::Internal,
-                    detail: "request frame failed to re-encode".into(),
-                },
-            );
-            return;
-        };
-        match self.forward(shard, &bytes, Pending::Front { conn: token, seq }) {
-            ForwardOutcome::Sent => {
-                c.requests_routed.fetch_add(1, Ordering::Relaxed);
-            }
-            ForwardOutcome::Down => {
-                c.shard_down_answers.fetch_add(1, Ordering::Relaxed);
-                let response = Response::ShardDown {
-                    shard,
-                    detail: format!(
-                        "shard {shard} at {} is unreachable; its key range is degraded",
-                        self.shared.config.shards.addr(shard)
-                    ),
-                };
-                self.queue_front_response(token, seq, &response);
-            }
-            ForwardOutcome::Saturated => {
-                c.requests_shed.fetch_add(1, Ordering::Relaxed);
-                let pending = self.backends[shard as usize].pending.len() as u32;
-                let response = Response::Overloaded {
-                    queued: pending,
-                    detail: format!(
-                        "shard {shard} has {pending} requests in flight (cap {}); retry later",
-                        self.shared.config.backend_pending_cap
-                    ),
-                };
-                self.queue_front_response(token, seq, &response);
-            }
-        }
-    }
-
-    /// Fills an already-allocated slot and settles the connection's write
-    /// side (for answers produced while routing, where the slot exists but
-    /// no backend will ever fill it).
-    fn queue_front_response(&mut self, token: u64, seq: u64, response: &Response) {
-        self.fill_front_slot(token, seq, response);
-        if self.flush_front(token) {
-            self.update_front_interest(token);
-        }
-    }
-
-    /// Allocates a fresh slot for a typed error (framing violations, where
-    /// no request slot exists yet).
-    fn queue_front_error(&mut self, token: u64, code: ErrorCode, detail: &str) {
-        let Some(conn) = self.fronts.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(Slot {
-            seq,
-            response: None,
-        });
-        let response = Response::Error {
-            code,
-            detail: detail.into(),
-        };
-        self.fill_front_slot(token, seq, &response);
-    }
-
-    fn fill_front_slot(&mut self, token: u64, seq: u64, response: &Response) {
-        if matches!(response, Response::Error { .. }) {
-            self.shared
-                .counters
-                .responses_error
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let Ok(bytes) = response.to_frame().encode() else {
-            self.close_front(token);
-            return;
-        };
-        self.fill_front_slot_bytes(token, seq, bytes);
-    }
-
-    fn fill_front_slot_bytes(&mut self, token: u64, seq: u64, bytes: Vec<u8>) {
-        let Some(conn) = self.fronts.get_mut(&token) else {
-            return;
-        };
-        if let Some(slot) = conn.inflight.iter_mut().find(|s| s.seq == seq) {
-            slot.response = Some(bytes);
-        }
-        while let Some(front) = conn.inflight.front_mut() {
-            match front.response.take() {
-                Some(bytes) => {
-                    conn.write_buf.extend_from_slice(&bytes);
-                    conn.inflight.pop_front();
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn flush_front(&mut self, token: u64) -> bool {
-        loop {
-            let Some(conn) = self.fronts.get_mut(&token) else {
-                return false;
-            };
-            if conn.write_buf.is_empty() {
-                break;
-            }
-            match conn.stream.write(&conn.write_buf) {
-                Ok(0) => {
-                    self.close_front(token);
-                    return false;
-                }
-                Ok(n) => {
-                    conn.write_buf.drain(..n);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_front(token);
-                    return false;
-                }
-            }
-        }
-        let close_now = self
-            .fronts
-            .get(&token)
-            .is_some_and(|c| c.closing && c.idle() && c.discarding == 0);
-        if close_now {
-            self.close_front(token);
-            return false;
-        }
-        true
-    }
-
-    fn update_front_interest(&mut self, token: u64) {
-        let cap = self.shared.config.max_pipelined;
-        let Some(conn) = self.fronts.get_mut(&token) else {
-            return;
-        };
-        let wanted = Interest {
-            readable: conn.discarding > 0
-                || (!conn.eof && !conn.closing && conn.inflight.len() < cap),
-            writable: !conn.write_buf.is_empty(),
-        };
-        let mut modify_failed = false;
-        if wanted != conn.interest {
-            if self
-                .poller
-                .modify(conn.stream.as_fd(), token, wanted)
-                .is_ok()
-            {
-                conn.interest = wanted;
-            } else {
-                modify_failed = true;
-            }
-        }
-        if modify_failed {
-            self.close_front(token);
-        }
-    }
-
-    /// Periodic work: reconnect down backends, close idle fronts.
-    fn sweep(&mut self, now: Instant) {
-        for shard in 0..self.backends.len() as u32 {
-            let backend = &self.backends[shard as usize];
-            if backend.stream.is_none() {
-                let due = backend
-                    .last_attempt
-                    .is_none_or(|t| now.duration_since(t) >= self.shared.config.reconnect_interval);
-                if due {
-                    self.try_connect(shard);
-                }
-            }
-        }
-        let timeout = self.shared.config.idle_timeout;
-        let stale: Vec<u64> = self
-            .fronts
-            .iter()
-            .filter(|(_, c)| !c.backend_pending() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in stale {
-            self.close_front(token);
-        }
-    }
-
-    /// Closes a front connection. Backend pending entries pointing at it
-    /// become answers to a ghost: `fill_front_slot` no-ops on a missing
-    /// token, which keeps backend FIFOs correctly aligned.
-    fn close_front(&mut self, token: u64) {
-        if let Some(conn) = self.fronts.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_fd());
-        }
-        // Drop any stats aggregation whose asker is gone: answer legs
-        // already in backend FIFOs will find the agg missing and no-op.
-        self.aggs.retain(|_, agg| agg.conn != token);
+        front.fill(agg.conn, agg.seq, &Response::ClusterStats(report));
+        front.advance(agg.conn, self);
     }
 }
 
@@ -1288,6 +780,24 @@ mod tests {
             other => panic!("expected ShardDown, got {other:?}"),
         }
         assert_eq!(router.stats().shard_down_answers, 1);
+        router.shutdown();
+    }
+
+    #[test]
+    fn stats_with_every_shard_down_is_answered_once() {
+        // Every Stats leg is answered "down" while the request is still
+        // being routed, so the aggregation completes inside its own parse.
+        let config = RouterConfig::new("127.0.0.1:0", map_of(&["127.0.0.1:1"]));
+        let router = Router::start(config).unwrap();
+        let mut client = crate::client::Client::connect(router.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match client.stats_view().unwrap() {
+            crate::client::StatsView::Cluster(view) => assert_eq!(view.shards_up(), 0),
+            other => panic!("expected a cluster view, got {other:?}"),
+        }
+        assert_eq!(client.ping(b"after", 0).unwrap(), b"after");
         router.shutdown();
     }
 }

@@ -502,8 +502,8 @@ stats_counter_table! {
     store_stores,
     /// Damaged store entries quarantined instead of served.
     store_quarantined,
-    /// Entries evicted from the store's bounded in-memory tier (the tier
-    /// whose capacity `--store-mem-cap` / `FLM_STORE_MEM_CAP` sets).
+    /// Entries evicted from the store's bounded in-memory tier
+    /// (`store::MEMORY_ENTRIES` entries).
     store_mem_evictions,
     /// FetchCert requests served.
     requests_fetch,
@@ -552,10 +552,12 @@ impl StatsReport {
         }
     }
 
-    /// Warm answers across every cache layer: run cache plus both store
-    /// tiers. The per-shard cluster table reports this as the hit column.
+    /// Refutes answered warm: hits in either certificate-store tier. The
+    /// run cache is left out on purpose — it counts memoized sub-runs
+    /// inside one refutation, so it can exceed the request count. The
+    /// per-shard cluster table reports this as the hit column.
     pub fn warm_hits(&self) -> u64 {
-        self.cache_hits + self.store_mem_hits + self.store_disk_hits
+        self.store_mem_hits + self.store_disk_hits
     }
 }
 
@@ -1176,6 +1178,20 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("shard: 1 of 3"), "{rendered}");
         assert!(rendered.contains("11 mem evictions"), "{rendered}");
+    }
+
+    #[test]
+    fn warm_hits_count_store_tiers_not_run_cache_sub_runs() {
+        // One cold refute memoizes dozens of sub-runs; two warm refutes come
+        // off the store: two warm hits out of three refutes.
+        let report = StatsReport {
+            requests_refute: 3,
+            cache_hits: 40,
+            store_mem_hits: 1,
+            store_disk_hits: 1,
+            ..StatsReport::default()
+        };
+        assert_eq!(report.warm_hits(), 2);
     }
 
     #[test]

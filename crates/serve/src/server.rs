@@ -4,22 +4,15 @@
 //!
 //! # Architecture
 //!
-//! The reactor thread owns the nonblocking listener and every connection.
-//! Each connection is a small state machine: bytes are accumulated into a
-//! read buffer and parsed incrementally with [`Frame::decode`] (a
-//! `Truncated` result just means "wait for more bytes"), decoded requests
-//! either execute inline on the reactor (zero-hold pings, stats snapshots)
-//! or become jobs for the worker pool (refute, verify, audit, held pings),
-//! and responses flush through a write buffer that registers `WRITABLE`
-//! interest only while bytes remain. Because readiness is level-triggered,
-//! a connection that reaches its pipeline cap simply stops being read —
-//! TCP backpressure does the rest — and resumes when responses drain.
-//!
-//! Pipelining is first-class: a connection may send many frames back to
-//! back, the reactor tracks an in-flight slot per request, and responses
-//! are written in strict request order no matter which worker finishes
-//! first. One process therefore serves thousands of concurrent sockets
-//! with `workers` threads, instead of one thread per socket.
+//! The reactor thread runs the front end it shares with the router (the
+//! crate's `front` module): the listener, every connection's framing,
+//! pipelining and write buffer, idle timeouts and the shutdown drain.
+//! What is the server's own is how a decoded request is answered: inline
+//! on the reactor (zero-hold pings, stats snapshots) or as a job for the
+//! worker pool (refute, verify, audit, held pings), whose completions
+//! return through a wake channel. Responses leave in strict request order
+//! no matter which worker finishes first, so one process serves thousands
+//! of pipelining sockets with `workers` threads.
 //!
 //! # Shedding
 //!
@@ -42,24 +35,20 @@
 //!
 //! # Caching
 //!
-//! Workers share the process-global `flm_sim::runcache`, so byte-identical
-//! queries from *different* connections are warm hits — sound because a hit
-//! requires the full canonical run key to match byte-for-byte, and under
-//! the determinism axiom that key fixes the behavior. With
-//! [`ServeConfig::store_dir`] set, refutations additionally consult a
+//! With [`ServeConfig::store_dir`] set, refutations consult a
 //! [`CertStore`]: memory → disk → simulate, with every fresh certificate
-//! persisted, so warm hits survive restarts. The [`Request::Stats`] RPC
-//! exposes every counter so both layers are observable.
+//! persisted, so warm answers are byte lookups that survive restarts —
+//! sound because a hit requires the full canonical query key to match
+//! byte-for-byte, and under the determinism axiom that key fixes the
+//! certificate. The [`Request::Stats`] RPC exposes every counter.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsFd;
+use std::collections::VecDeque;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use flm_sim::RunPolicy;
 
@@ -67,12 +56,13 @@ use flm_sim::runcache::RunKey;
 
 use crate::audit;
 use crate::client::Client;
-use crate::frame::{Frame, FrameError, DEFAULT_MAX_BODY_BYTES};
+use crate::frame::{Frame, DEFAULT_MAX_BODY_BYTES};
+use crate::front::{self, Front, Limits, Service};
 use crate::query::{self, Theorem};
 use crate::rpc::{ErrorCode, Request, Response, StatsReport};
 use crate::shard::{self, ShardMap};
 use crate::store::{self, CertStore};
-use crate::sys::{self, Interest, Poller};
+use crate::sys;
 
 /// Server configuration. [`ServeConfig::default`] is sized for the loopback
 /// quickstart; production deployments tune every knob.
@@ -113,9 +103,6 @@ pub struct ServeConfig {
     /// This process's place in a sharded cluster; `None` serves unsharded
     /// (every key is owned locally, no ownership checks).
     pub shard: Option<ShardRole>,
-    /// Memory-tier entry capacity for the certificate store; `None` defers
-    /// to `FLM_STORE_MEM_CAP` / the built-in default.
-    pub store_mem_cap: Option<usize>,
 }
 
 /// A shard's identity in the cluster: its id plus the full topology every
@@ -143,7 +130,6 @@ impl Default for ServeConfig {
             max_connections: 2048,
             max_pipelined: 32,
             shard: None,
-            store_mem_cap: None,
         }
     }
 }
@@ -152,16 +138,13 @@ impl Default for ServeConfig {
 /// Stats RPC.
 #[derive(Default)]
 struct Counters {
-    connections_accepted: AtomicU64,
-    connections_shed: AtomicU64,
+    front: Arc<front::Counters>,
     requests_ping: AtomicU64,
     requests_refute: AtomicU64,
     requests_verify: AtomicU64,
     requests_audit: AtomicU64,
     requests_stats: AtomicU64,
     requests_shed: AtomicU64,
-    responses_error: AtomicU64,
-    malformed_frames: AtomicU64,
     requests_fetch: AtomicU64,
     requests_put: AtomicU64,
     wrong_shard: AtomicU64,
@@ -214,16 +197,16 @@ impl Shared {
             .map(CertStore::stats)
             .unwrap_or_default();
         StatsReport {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_shed: c.connections_shed.load(Ordering::Relaxed),
+            connections_accepted: c.front.connections_accepted.load(Ordering::Relaxed),
+            connections_shed: c.front.connections_shed.load(Ordering::Relaxed),
             requests_ping: c.requests_ping.load(Ordering::Relaxed),
             requests_refute: c.requests_refute.load(Ordering::Relaxed),
             requests_verify: c.requests_verify.load(Ordering::Relaxed),
             requests_audit: c.requests_audit.load(Ordering::Relaxed),
             requests_stats: c.requests_stats.load(Ordering::Relaxed),
             requests_shed: c.requests_shed.load(Ordering::Relaxed),
-            responses_error: c.responses_error.load(Ordering::Relaxed),
-            malformed_frames: c.malformed_frames.load(Ordering::Relaxed),
+            responses_error: c.front.responses_error.load(Ordering::Relaxed),
+            malformed_frames: c.front.malformed_frames.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
@@ -274,30 +257,31 @@ impl Server {
     ///
     /// Propagates bind, poller-creation, and store-open failures.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let counters = Counters::default();
+        let limits = Limits {
+            max_connections: config.max_connections,
+            max_pipelined: config.max_pipelined,
+            max_body_bytes: config.max_body_bytes,
+            idle_timeout: config.read_timeout,
+        };
+        let (front, waker) = Front::bind(
+            &config.addr,
+            limits,
+            Arc::clone(&counters.front),
+            front::FIRST_SERVICE_TOKEN,
+        )?;
+        let local_addr = front.local_addr()?;
         let workers = config.workers.max(1);
         let store = match &config.store_dir {
-            Some(dir) => {
-                let cap = config
-                    .store_mem_cap
-                    .unwrap_or_else(store::default_memory_capacity);
-                Some(
-                    CertStore::open_with_capacity(dir.clone(), cap)
-                        .map_err(|e| std::io::Error::other(e.to_string()))?,
-                )
-            }
+            Some(dir) => Some(
+                CertStore::open(dir.clone()).map_err(|e| std::io::Error::other(e.to_string()))?,
+            ),
             None => None,
         };
-        let poller = Poller::new()?;
-        let (waker, wake_rx) = sys::wake_channel()?;
-        poller.register(listener.as_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        poller.register(wake_rx.as_fd(), TOKEN_WAKER, Interest::READABLE)?;
 
         let shared = Arc::new(Shared {
             config: ServeConfig { workers, ..config },
-            counters: Counters::default(),
+            counters,
             store,
             jobs: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
@@ -316,9 +300,7 @@ impl Server {
             .collect();
         let reactor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                Reactor::new(listener, wake_rx, poller, shared).run();
-            })
+            std::thread::spawn(move || front.run(&mut Reactor { shared }))
         };
 
         Ok(Server {
@@ -393,444 +375,74 @@ impl Drop for Server {
     }
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// Bytes of unparseable input discarded after a framing violation before
-/// the connection is closed anyway (so the close sends FIN, not a RST that
-/// could destroy the typed error frame in flight).
-const DISCARD_BUDGET: usize = 64 * 1024;
-
-/// One pending request on a connection: its sequence number and, once some
-/// thread produced it, the encoded response frame. Responses leave in slot
-/// order no matter which finishes first — that is the pipelining contract.
-struct Slot {
-    seq: u64,
-    response: Option<Vec<u8>>,
-}
-
-/// Per-connection state machine.
-struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    inflight: VecDeque<Slot>,
-    next_seq: u64,
-    served: u64,
-    interest: Interest,
-    /// Peer sent FIN: no more requests will arrive.
-    eof: bool,
-    /// Close as soon as the write buffer flushes (framing violation,
-    /// exhausted request budget, or shutdown).
-    closing: bool,
-    /// After a framing violation: keep reading (and discarding) up to
-    /// [`DISCARD_BUDGET`] bytes so the peer's in-flight bytes do not turn
-    /// our close into a RST.
-    discarding: usize,
-    last_activity: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            inflight: VecDeque::new(),
-            next_seq: 0,
-            served: 0,
-            interest: Interest::READABLE,
-            eof: false,
-            closing: false,
-            discarding: 0,
-            last_activity: now,
-        }
-    }
-
-    /// True when nothing is pending: no queued responses, no unflushed
-    /// bytes.
-    fn idle(&self) -> bool {
-        self.inflight.is_empty() && self.write_buf.is_empty()
-    }
-
-    /// True while any request is still with the worker pool (an unfilled
-    /// slot can only be filled by a completion; inline responses fill
-    /// theirs immediately).
-    fn worker_pending(&self) -> bool {
-        self.inflight.iter().any(|s| s.response.is_none())
-    }
-}
-
+/// The server's half of the reactor: per-connection request budgets,
+/// inline vs worker dispatch, request-level shedding, and completions.
+/// Framing, pipelining and connection lifetime are [`Front`]'s.
 struct Reactor {
-    listener: TcpListener,
-    wake_rx: std::os::unix::net::UnixStream,
-    poller: Poller,
     shared: Arc<Shared>,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    accepting: bool,
 }
 
-impl Reactor {
-    fn new(
-        listener: TcpListener,
-        wake_rx: std::os::unix::net::UnixStream,
-        poller: Poller,
-        shared: Arc<Shared>,
-    ) -> Reactor {
-        Reactor {
-            listener,
-            wake_rx,
-            poller,
-            shared,
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            accepting: true,
-        }
+impl Service for Reactor {
+    /// Requests the connection has issued, against
+    /// [`ServeConfig::max_requests_per_conn`].
+    type ConnState = u64;
+
+    fn shutting_down(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    fn run(mut self) {
-        let mut events = Vec::new();
-        let mut last_sweep = Instant::now();
-        let mut shutdown_at: Option<Instant> = None;
-        loop {
-            if self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(250)))
-                .is_err()
-            {
-                continue;
-            }
-            let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
-            if shutting_down && self.accepting {
-                // Entering drain mode, in this order: stop accepting, stop
-                // parsing (so no job is ever enqueued again), and only then
-                // tell the workers the queue can no longer grow — that
-                // ordering is what lets a worker exit on "closed + empty"
-                // without orphaning a connection mid-pipeline.
-                let _ = self.poller.deregister(self.listener.as_fd());
-                self.accepting = false;
-                for conn in self.conns.values_mut() {
-                    conn.closing = true;
-                }
-                self.shared.jobs_closed.store(true, Ordering::SeqCst);
-                self.shared.job_ready.notify_all();
-                shutdown_at = Some(Instant::now());
-            }
-            for ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => sys::drain_wakes(&self.wake_rx),
-                    token => self.conn_event(token, ev.readable, ev.writable, ev.hangup),
-                }
-            }
-            self.apply_completions();
-            let now = Instant::now();
-            if now.duration_since(last_sweep) >= Duration::from_secs(1) {
-                last_sweep = now;
-                self.sweep_idle(now);
-            }
-            if shutting_down {
-                // Close everything with no pending work; connections still
-                // waiting on workers drain first (in-flight requests
-                // complete and flush before the reactor exits).
-                let tokens: Vec<u64> = self
-                    .conns
-                    .iter()
-                    .filter(|(_, c)| c.idle())
-                    .map(|(&t, _)| t)
-                    .collect();
-                for token in tokens {
-                    self.close(token);
-                }
-                let deadline_passed =
-                    shutdown_at.is_some_and(|t| now.duration_since(t) > Duration::from_secs(5));
-                if self.conns.is_empty() || deadline_passed {
-                    return;
-                }
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        while self.accepting {
-            let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            let _ = stream.set_nodelay(true);
-            if self.conns.len() >= self.shared.config.max_connections {
-                self.shed_connection(stream);
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
-                .poller
-                .register(stream.as_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                continue;
-            }
-            self.shared
-                .counters
-                .connections_accepted
-                .fetch_add(1, Ordering::Relaxed);
-            self.conns.insert(token, Conn::new(stream, Instant::now()));
-        }
-    }
-
-    /// Answers a connection the reactor cannot hold with a typed Overloaded
-    /// frame, then closes it. Shedding with an answer is the contract:
-    /// clients always learn *why* the connection ended.
-    fn shed_connection(&self, mut stream: TcpStream) {
-        self.shared
-            .counters
-            .connections_shed
-            .fetch_add(1, Ordering::Relaxed);
-        let response = Response::Overloaded {
-            queued: self.conns.len() as u32,
-            detail: format!(
-                "serving {} connections (cap {}); retry later",
-                self.conns.len(),
-                self.shared.config.max_connections
-            ),
-        };
-        // The socket is fresh, so this tiny frame lands in the empty send
-        // buffer; a 1s timeout bounds the pathological case.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-        if let Ok(bytes) = response.to_frame().encode() {
-            let _ = stream.write_all(&bytes);
-        }
-    }
-
-    fn conn_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
-        // Stale event for a connection closed earlier in this batch.
-        if !self.conns.contains_key(&token) {
-            return;
-        }
-        if hangup {
-            self.close(token);
-            return;
-        }
-        if writable && !self.flush(token) {
-            return;
-        }
-        if readable {
-            self.readable(token);
-        }
-    }
-
-    /// Reads everything available, advances the parser, executes or
-    /// enqueues complete requests.
-    fn readable(&mut self, token: u64) {
-        let mut chunk = [0u8; 16 * 1024];
-        let cap = self.shared.config.max_pipelined;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            // Respect the pipeline cap *before* reading: level-triggered
-            // readiness will re-report the bytes once responses drain.
-            let want_read =
-                conn.discarding > 0 || (!conn.eof && !conn.closing && conn.inflight.len() < cap);
-            if !want_read {
-                break;
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.eof = true;
-                    // No more bytes will ever arrive; any discard budget is
-                    // moot and must not hold the connection open.
-                    conn.discarding = 0;
-                    break;
-                }
-                Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    if conn.discarding > 0 {
-                        conn.discarding = conn.discarding.saturating_sub(n);
-                        continue;
-                    }
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    if !self.parse_available(token) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(token);
-                    return;
-                }
-            }
-        }
-        self.advance(token);
-    }
-
-    /// Settles a connection after IO or completions: re-parse anything the
-    /// pipeline cap deferred, resolve EOF, flush, re-derive interest.
-    fn advance(&mut self, token: u64) {
-        if !self.parse_available(token) {
-            return;
-        }
-        let cap = self.shared.config.max_pipelined;
-        let mut close_now = false;
-        let mut leftover_garbage = false;
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.eof && !conn.closing {
-                if conn.read_buf.is_empty() {
-                    if conn.idle() {
-                        close_now = true;
-                    } else {
-                        // Serve out the pipeline, then close.
-                        conn.closing = true;
-                    }
-                } else if conn.inflight.len() < cap {
-                    // The parser stopped on Truncated (not on the pipeline
-                    // cap) and no more bytes can ever arrive: the peer
-                    // half-closed mid-frame. A framing violation, answered
-                    // like any other (the truncation fuzz tests pin this).
-                    leftover_garbage = true;
-                }
-                // Else: complete frames may still be sitting behind the
-                // cap; completions will re-enter here and re-parse.
-            }
-        } else {
-            return;
-        }
-        if close_now {
-            self.close(token);
-            return;
-        }
-        if leftover_garbage {
-            self.shared
-                .counters
-                .malformed_frames
-                .fetch_add(1, Ordering::Relaxed);
-            let detail = FrameError::Truncated.to_string();
-            self.queue_error(token, ErrorCode::MalformedFrame, &detail);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.read_buf.clear();
-                conn.closing = true;
-            }
-        }
-        if !self.flush(token) {
-            return;
-        }
-        self.update_interest(token);
-    }
-
-    /// Parses every complete frame in the read buffer. Returns false when
-    /// the connection was closed.
-    fn parse_available(&mut self, token: u64) -> bool {
-        let mut consumed = 0;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            if conn.closing || conn.inflight.len() >= self.shared.config.max_pipelined {
-                break;
-            }
-            let max_body = self.shared.config.max_body_bytes;
-            match Frame::decode(&conn.read_buf[consumed..], max_body) {
-                Ok((frame, n)) => {
-                    consumed += n;
-                    conn.last_activity = Instant::now();
-                    self.request_frame(token, &frame);
-                }
-                Err(FrameError::Truncated) => break,
-                Err(e) => {
-                    // The bytes are not a frame: typed error, then close —
-                    // after a framing violation the stream offset can no
-                    // longer be trusted. Discard what the peer already sent
-                    // so the close sends FIN, not RST.
-                    self.shared
-                        .counters
-                        .malformed_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    let detail = e.to_string();
-                    self.queue_error(token, ErrorCode::MalformedFrame, &detail);
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.read_buf.clear();
-                        conn.closing = true;
-                        conn.discarding = DISCARD_BUDGET;
-                    }
-                    return true;
-                }
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.read_buf.drain(..consumed);
-        }
-        true
+    /// The front has stopped parsing, so the job queue can only shrink from
+    /// here: a worker seeing `jobs_closed` and an empty queue may exit
+    /// without orphaning a connection mid-pipeline.
+    fn drain_started(&mut self) {
+        self.shared.jobs_closed.store(true, Ordering::SeqCst);
+        self.shared.job_ready.notify_all();
     }
 
     /// Routes one well-framed request: budget check, decode, then inline
     /// execution, worker hand-off, or request-level shed.
-    fn request_frame(&mut self, token: u64, frame: &Frame) {
-        let config_budget = self.shared.config.max_requests_per_conn;
-        let Some(conn) = self.conns.get_mut(&token) else {
+    fn frame(&mut self, front: &mut Front<u64>, token: u64, frame: Frame) {
+        let config = &self.shared.config;
+        let Some(served) = front.state_mut(token) else {
             return;
         };
-        if conn.served >= config_budget {
-            let detail =
-                format!("connection exhausted its {config_budget}-request budget; reconnect");
-            self.queue_error(token, ErrorCode::ConnectionBudget, &detail);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.closing = true;
-            }
+        if *served >= config.max_requests_per_conn {
+            let response = Response::Error {
+                code: ErrorCode::ConnectionBudget,
+                detail: format!(
+                    "connection exhausted its {}-request budget; reconnect",
+                    config.max_requests_per_conn
+                ),
+            };
+            front.reply(token, &response);
+            front.close_when_flushed(token);
             return;
         }
-        conn.served += 1;
-        let request = match Request::from_frame(frame) {
-            Ok(request) => request,
-            Err(e) => {
-                // The frame was sound but the body was not: typed error,
-                // keep the connection (framing is still in sync).
-                self.shared
-                    .counters
-                    .malformed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                let detail = e.to_string();
-                self.queue_error(token, ErrorCode::MalformedFrame, &detail);
-                return;
-            }
+        *served += 1;
+        let Some(request) = front.decode_request(token, &frame) else {
+            return;
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(Slot {
-            seq,
-            response: None,
-        });
+        let Some(seq) = front.open_slot(token) else {
+            return;
+        };
 
         let c = &self.shared.counters;
         match request {
             // Zero-hold pings and stats snapshots are reactor-inline: they
             // cost microseconds and must keep answering while the worker
             // pool is saturated (that is what makes saturation observable).
-            Request::Ping { payload, hold_ms }
-                if hold_ms.min(self.shared.config.max_hold_ms) == 0 =>
-            {
+            Request::Ping { payload, hold_ms } if hold_ms.min(config.max_hold_ms) == 0 => {
                 c.requests_ping.fetch_add(1, Ordering::Relaxed);
-                self.fill_slot(token, seq, &Response::Pong { payload });
+                front.fill(token, seq, &Response::Pong { payload });
             }
             Request::Stats => {
                 c.requests_stats.fetch_add(1, Ordering::Relaxed);
-                let snapshot = self.shared.snapshot();
-                self.fill_slot(token, seq, &Response::Stats(snapshot));
+                front.fill(token, seq, &Response::Stats(self.shared.snapshot()));
             }
             request => {
                 let mut jobs = relock(self.shared.jobs.lock());
                 let busy = self.shared.busy_workers.load(Ordering::SeqCst);
-                let saturated = busy >= self.shared.config.workers
-                    && jobs.len() >= self.shared.config.queue_depth;
-                if saturated {
+                if busy >= config.workers && jobs.len() >= config.queue_depth {
                     let queued = jobs.len() as u32;
                     drop(jobs);
                     c.requests_shed.fetch_add(1, Ordering::Relaxed);
@@ -838,10 +450,10 @@ impl Reactor {
                         queued,
                         detail: format!(
                             "all {} workers busy and {} requests queued; retry later",
-                            self.shared.config.workers, queued
+                            config.workers, queued
                         ),
                     };
-                    self.fill_slot(token, seq, &response);
+                    front.fill(token, seq, &response);
                     return;
                 }
                 jobs.push_back(Job {
@@ -855,157 +467,13 @@ impl Reactor {
         }
     }
 
-    /// Queues a typed error response into the next slot (allocating one).
-    fn queue_error(&mut self, token: u64, code: ErrorCode, detail: &str) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(Slot {
-            seq,
-            response: None,
-        });
-        let response = Response::Error {
-            code,
-            detail: detail.into(),
-        };
-        self.fill_slot(token, seq, &response);
-    }
-
-    /// Delivers a response into its slot, then moves every response that is
-    /// now at the front of the pipeline into the write buffer.
-    fn fill_slot(&mut self, token: u64, seq: u64, response: &Response) {
-        if matches!(response, Response::Error { .. }) {
-            self.shared
-                .counters
-                .responses_error
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let Ok(bytes) = response.to_frame().encode() else {
-            // A response too large for the frame format (>4 GiB) cannot be
-            // sent; the only sound recovery is a fresh connection.
-            self.close(token);
-            return;
-        };
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if let Some(slot) = conn.inflight.iter_mut().find(|s| s.seq == seq) {
-            slot.response = Some(bytes);
-        }
-        while let Some(front) = conn.inflight.front_mut() {
-            match front.response.take() {
-                Some(bytes) => {
-                    conn.write_buf.extend_from_slice(&bytes);
-                    conn.inflight.pop_front();
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Writes as much of the write buffer as the socket accepts. Returns
-    /// false when the connection was closed.
-    fn flush(&mut self, token: u64) -> bool {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            if conn.write_buf.is_empty() {
-                break;
-            }
-            match conn.stream.write(&conn.write_buf) {
-                Ok(0) => {
-                    self.close(token);
-                    return false;
-                }
-                Ok(n) => {
-                    conn.write_buf.drain(..n);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(token);
-                    return false;
-                }
-            }
-        }
-        let close_now = self
-            .conns
-            .get(&token)
-            .is_some_and(|c| c.closing && c.idle() && c.discarding == 0);
-        if close_now {
-            self.close(token);
-            return false;
-        }
-        self.update_interest(token);
-        true
-    }
-
-    /// Re-derives epoll interest from connection state and applies it if
-    /// it changed.
-    fn update_interest(&mut self, token: u64) {
-        let config_cap = self.shared.config.max_pipelined;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let wanted = Interest {
-            readable: conn.discarding > 0
-                || (!conn.eof && !conn.closing && conn.inflight.len() < config_cap),
-            writable: !conn.write_buf.is_empty(),
-        };
-        let mut modify_failed = false;
-        if wanted != conn.interest {
-            if self
-                .poller
-                .modify(conn.stream.as_fd(), token, wanted)
-                .is_ok()
-            {
-                conn.interest = wanted;
-            } else {
-                modify_failed = true;
-            }
-        }
-        if modify_failed {
-            self.close(token);
-        }
-    }
-
     /// Drains the completion queue: fill slots, then settle each touched
     /// connection (which also re-parses frames the pipeline cap deferred).
-    fn apply_completions(&mut self) {
+    fn after_events(&mut self, front: &mut Front<u64>) {
         let done = std::mem::take(&mut *relock(self.shared.completions.lock()));
         for completion in done {
-            self.fill_slot(completion.conn, completion.seq, &completion.response);
-            self.advance(completion.conn);
-        }
-    }
-
-    /// Closes connections that made no IO progress past the configured
-    /// timeout. A connection still waiting on a worker is never timed out —
-    /// a slow refutation is not idleness — but an idle or write-stuck peer
-    /// cannot pin a connection slot forever.
-    fn sweep_idle(&mut self, now: Instant) {
-        let timeout = self.shared.config.read_timeout;
-        let stale: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.worker_pending() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in stale {
-            self.close(token);
-        }
-    }
-
-    fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            // Dropping the stream closes the fd, which also removes it from
-            // the epoll set; the explicit deregister covers the (benign)
-            // case of the kernel delaying that removal.
-            let _ = self.poller.deregister(conn.stream.as_fd());
+            front.fill(completion.conn, completion.seq, &completion.response);
+            front.advance(completion.conn, self);
         }
     }
 }

@@ -40,24 +40,13 @@ use std::sync::Mutex;
 
 use flm_sim::runcache::RunKey;
 
-/// Default capacity of the in-memory tier in front of the disk layer
-/// (tiny: certificates are a few KiB and the real memory layer is the
-/// process-global runcache upstream of this store).
+/// Capacity of the in-memory tier in front of the disk layer, in entries
+/// (certificates are a few KiB each).
 pub const MEMORY_ENTRIES: usize = 256;
 
-/// The effective default memory-tier capacity: `FLM_STORE_MEM_CAP` if set
-/// to a positive integer, else [`MEMORY_ENTRIES`] — the same env-cap
-/// convention as `FLM_RUNCACHE_CAP`. [`CertStore::open_with_capacity`]
-/// overrides both.
+/// The memory-tier capacity every store opens with: [`MEMORY_ENTRIES`].
 pub fn default_memory_capacity() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("FLM_STORE_MEM_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(MEMORY_ENTRIES)
-    })
+    MEMORY_ENTRIES
 }
 
 /// Counter snapshot for one store (all monotone since open).
@@ -116,7 +105,6 @@ struct MemoryLayer {
 /// wins with both writers leaving a valid entry.
 pub struct CertStore {
     dir: PathBuf,
-    mem_capacity: usize,
     memory: Mutex<MemoryLayer>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -144,27 +132,13 @@ fn key_path(dir: &Path, fp: u64) -> PathBuf {
 }
 
 impl CertStore {
-    /// Opens (creating if needed) a store rooted at `dir`, with the
-    /// default memory-tier capacity ([`default_memory_capacity`]).
+    /// Opens (creating if needed) a store rooted at `dir`, with a
+    /// [`MEMORY_ENTRIES`]-entry memory tier.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<CertStore, StoreError> {
-        Self::open_with_capacity(dir, default_memory_capacity())
-    }
-
-    /// Opens a store with an explicit memory-tier capacity (`--store-mem-cap`).
-    /// A capacity of zero is clamped to one: a tier that cannot hold even
-    /// the entry just stored would turn every hit into a disk read.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the directory cannot be created.
-    pub fn open_with_capacity(
-        dir: impl Into<PathBuf>,
-        mem_capacity: usize,
-    ) -> Result<CertStore, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|source| StoreError::Io {
             path: dir.clone(),
@@ -172,7 +146,6 @@ impl CertStore {
         })?;
         Ok(CertStore {
             dir,
-            mem_capacity: mem_capacity.max(1),
             memory: Mutex::new(MemoryLayer {
                 entries: HashMap::new(),
                 order: std::collections::VecDeque::new(),
@@ -240,11 +213,6 @@ impl CertStore {
         memory.order.clear();
     }
 
-    /// The memory-tier capacity this store was opened with.
-    pub fn memory_capacity(&self) -> usize {
-        self.mem_capacity
-    }
-
     /// Reads the counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -261,7 +229,7 @@ impl CertStore {
         let mut memory = self.memory.lock().unwrap_or_else(|p| p.into_inner());
         if memory.entries.insert(fp, (key, cert)).is_none() {
             memory.order.push_back(fp);
-            while memory.order.len() > self.mem_capacity {
+            while memory.order.len() > MEMORY_ENTRIES {
                 if let Some(old) = memory.order.pop_front() {
                     memory.entries.remove(&old);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -559,22 +527,20 @@ mod tests {
     fn memory_tier_capacity_bounds_entries_and_counts_evictions() {
         let dir = temp_dir("cap");
         let cert = sample_cert();
-        let store = CertStore::open_with_capacity(&dir, 2).unwrap();
-        assert_eq!(store.memory_capacity(), 2);
-        for tag in 0..5 {
-            store.store(&sample_key(100 + tag), &cert);
+        let store = CertStore::open(&dir).unwrap();
+        let inserts = MEMORY_ENTRIES as u64 + 3;
+        for tag in 0..inserts {
+            store.store(&sample_key(1000 + tag), &cert);
         }
-        // Capacity 2, five inserts: three FIFO evictions.
+        // Three past capacity: three FIFO evictions, oldest first.
         assert_eq!(store.stats().evictions, 3);
-        // The two newest entries answer from memory, the evicted ones from
-        // disk (still correct, just slower).
-        assert_eq!(store.lookup(&sample_key(104)).as_deref(), Some(&cert[..]));
+        // The newest entry answers from memory, an evicted one from disk
+        // (still correct, just slower).
+        let newest = sample_key(1000 + inserts - 1);
+        assert_eq!(store.lookup(&newest).as_deref(), Some(&cert[..]));
         assert_eq!(store.stats().mem_hits, 1);
-        assert_eq!(store.lookup(&sample_key(100)).as_deref(), Some(&cert[..]));
+        assert_eq!(store.lookup(&sample_key(1000)).as_deref(), Some(&cert[..]));
         assert_eq!(store.stats().disk_hits, 1);
-        // Zero is clamped: the tier always holds at least the last entry.
-        let clamped = CertStore::open_with_capacity(&dir, 0).unwrap();
-        assert_eq!(clamped.memory_capacity(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -13,10 +13,12 @@
 //! immediately wrapped in [`OwnedFd`] so closing is never hand-rolled.
 //!
 //! The abstraction is deliberately small — register / modify / deregister /
-//! wait over opaque `u64` tokens, plus a [`Waker`] for cross-thread
-//! wake-ups — because the server's reactor is the only customer.
+//! wait over opaque `u64` tokens, a [`Waker`] for cross-thread wake-ups,
+//! and [`set_listen_backlog`] — because the front end the server and the
+//! router share (the private `front` module) is the only customer.
 
 use std::io::{self, Write as _};
+use std::net::TcpListener;
 use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -59,6 +61,7 @@ mod ffi {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
+        pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
     }
 }
 
@@ -262,6 +265,25 @@ impl Poller {
         }
         Ok(())
     }
+}
+
+/// Re-issues `listen(2)` on a bound listener with `backlog` pending
+/// connections (the kernel clamps it to `net.core.somaxconn`). std's
+/// `TcpListener::bind` listens with a backlog of 128; a larger connect
+/// burst overflows it, and each dropped SYN costs the client a ~1 s
+/// retransmit.
+///
+/// # Errors
+///
+/// Propagates `listen` failure.
+pub fn set_listen_backlog(listener: &TcpListener, backlog: i32) -> io::Result<()> {
+    // SAFETY: the descriptor is borrowed from a live TcpListener for the
+    // duration of the call, and listen takes no pointers.
+    let rc = unsafe { ffi::listen(listener.as_raw_fd(), backlog) };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// The write half of a self-wake channel: worker threads call

@@ -30,12 +30,11 @@
 //!
 //! # Controls
 //!
-//! * `FLM_RUNCACHE=0` disables the cache process-wide.
-//! * [`bypass`] disables it for the current thread while a closure runs —
-//!   the differential tests and the cold legs of the bench suites use it.
-//! * The store is bounded ([`MAX_ENTRIES`] entries by default, overridable
-//!   with `FLM_RUNCACHE_CAP`, and [`MAX_VALUE_BYTES`]) with least-recently-
-//!   used eviction, so long sweeps cannot grow memory without bound while
+//! * [`bypass`] disables the cache for the current thread while a closure
+//!   runs — the differential tests and the cold legs of the bench suites
+//!   use it.
+//! * The store is bounded ([`MAX_ENTRIES`] entries and [`MAX_VALUE_BYTES`])
+//!   with least-recently-used eviction, so long sweeps cannot grow memory without bound while
 //!   hot behaviors (a covering run shared by every link of a chain) stay
 //!   resident.
 
@@ -48,25 +47,11 @@ use crate::async_sched::AsyncRun;
 use crate::behavior::SystemBehavior;
 use crate::clock::ClockBehavior;
 
-/// Default maximum number of cached behaviors before LRU eviction.
-/// Override with `FLM_RUNCACHE_CAP=<n>` (read once per process).
+/// Maximum number of cached behaviors before LRU eviction.
 pub const MAX_ENTRIES: usize = 512;
 
 /// Maximum total approximate value bytes held before LRU eviction.
 pub const MAX_VALUE_BYTES: u64 = 64 << 20;
-
-/// The effective entry cap: `FLM_RUNCACHE_CAP` if set to a positive
-/// integer, else [`MAX_ENTRIES`].
-pub fn max_entries() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("FLM_RUNCACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(MAX_ENTRIES)
-    })
-}
 
 /// A canonical cache key: the full encoded run ingredients plus their
 /// FNV-1a fingerprint (an index, not a proof of equality — probes compare
@@ -190,7 +175,7 @@ impl Store {
         self.order.push_back((key.fp, seq));
         self.entry_count += 1;
         self.total_bytes += approx_bytes;
-        while self.entry_count > max_entries() || self.total_bytes > MAX_VALUE_BYTES {
+        while self.entry_count > MAX_ENTRIES || self.total_bytes > MAX_VALUE_BYTES {
             let Some((fp, old_seq)) = self.order.pop_front() else {
                 break;
             };
@@ -223,12 +208,6 @@ thread_local! {
     static BYPASS: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True unless `FLM_RUNCACHE=0` disabled the cache process-wide.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("FLM_RUNCACHE").map_or(true, |v| v.trim() != "0"))
-}
-
 /// Runs `f` with the cache bypassed on *this thread* (nested scopes
 /// included): lookups miss, results are not stored, and no counters move.
 /// The reference mode for differential tests and cold-path benches.
@@ -249,10 +228,6 @@ pub fn is_bypassed() -> bool {
     BYPASS.with(Cell::get)
 }
 
-fn active() -> bool {
-    enabled() && !is_bypassed()
-}
-
 /// Returns the cached behavior for `key`, or executes `run`, stores its
 /// success, and returns it. The error path is never cached.
 ///
@@ -263,7 +238,7 @@ pub fn memoize_discrete<E>(
     key: &RunKey,
     run: impl FnOnce() -> Result<SystemBehavior, E>,
 ) -> Result<Arc<SystemBehavior>, E> {
-    if !active() {
+    if is_bypassed() {
         return run().map(Arc::new);
     }
     {
@@ -294,7 +269,7 @@ pub fn memoize_clock<E>(
     key: &RunKey,
     run: impl FnOnce() -> Result<ClockBehavior, E>,
 ) -> Result<Arc<ClockBehavior>, E> {
-    if !active() {
+    if is_bypassed() {
         return run().map(Arc::new);
     }
     {
@@ -329,7 +304,7 @@ pub fn memoize_async<E>(
     key: &RunKey,
     run: impl FnOnce() -> Result<AsyncRun, E>,
 ) -> Result<Arc<AsyncRun>, E> {
-    if !active() {
+    if is_bypassed() {
         return run().map(Arc::new);
     }
     {
@@ -525,11 +500,11 @@ mod tests {
     fn lru_eviction_bounds_the_store() {
         let _guard = store_lock();
         clear();
-        for i in 0..(max_entries() as u64 + 40) {
+        for i in 0..(MAX_ENTRIES as u64 + 40) {
             let _ = memoize_discrete(&key(0x1_0000 + i), || run_triangle(1)).unwrap();
         }
         let s = stats();
-        assert!(s.entries <= max_entries());
+        assert!(s.entries <= MAX_ENTRIES);
         assert!(s.evictions >= 40);
         clear();
     }
@@ -543,7 +518,7 @@ mod tests {
         let value = CachedValue::Discrete(Arc::new(run_triangle(1).unwrap()));
         let hot = key(0x2_0000);
         store.insert(&hot, value.clone(), 1);
-        for i in 1..max_entries() as u64 {
+        for i in 1..MAX_ENTRIES as u64 {
             store.insert(&key(0x2_0000 + i), value.clone(), 1);
         }
         assert!(store.lookup_touch(&hot).is_some());
@@ -551,7 +526,7 @@ mod tests {
             store.insert(&key(0x3_0000 + i), value.clone(), 1);
         }
         assert!(store.lookup_touch(&hot).is_some(), "hot entry was evicted");
-        assert!(store.entry_count <= max_entries());
+        assert!(store.entry_count <= MAX_ENTRIES);
     }
 
     #[test]
