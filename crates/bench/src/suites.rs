@@ -379,9 +379,10 @@ pub fn serve_suite(samples: usize) -> Suite {
     });
 
     // The runcache suite's k6/f2 workload, now over RPC. Warm requests are
-    // answered from the process-global run cache the server's workers
-    // share; cold clears that cache before every request, so each one pays
-    // the full refutation. The gap is the service's warm-hit payoff.
+    // byte lookups in the server's answer cache (the certificate store's
+    // memory tier, on even without a store directory); cold drops that tier
+    // and the process-global run cache before every request, so each one
+    // pays the full refutation. The gap is the service's warm-hit payoff.
     let k6 = builders::complete(6);
     let refute_rpc = |client: &mut Client| {
         client
@@ -391,10 +392,11 @@ pub fn serve_suite(samples: usize) -> Suite {
     let warm = measure(config, || refute_rpc(&mut client));
     let cold = measure(config, || {
         flm_sim::runcache::clear();
+        server.drop_store_memory();
         refute_rpc(&mut client)
     });
     speedups.push((
-        "refute_rpc_ba_nodes_k6_f2: warm run cache vs cold, over RPC".into(),
+        "refute_rpc_ba_nodes_k6_f2: warm answer cache vs cold, over RPC".into(),
         ratio(cold, warm),
     ));
     rows.push(BenchRow {
@@ -570,8 +572,11 @@ pub fn serve_suite(samples: usize) -> Suite {
         stats: direct_warm,
     });
 
+    // The shards have no store directory, so dropping the owner's memory
+    // tier (with the run cache) leaves nothing warm to answer from.
     let routed_cold = measure(config, || {
         flm_sim::runcache::clear();
+        shards[owner as usize].drop_store_memory();
         refute_rpc(&mut routed)
     });
     speedups.push((

@@ -17,12 +17,15 @@
 //! `--port-file` writes the actual bound address to a file (atomically:
 //! temp file + rename, so a polling reader never sees a partial port),
 //! which is how `scripts/check.sh --serve-smoke` finds the server it just
-//! started. `--store-dir` enables the persistent certificate store:
-//! refutations are served memory → disk → simulate, and warm hits survive
-//! restarts. `--shard-id`/`--peers` place the process in a sharded
-//! cluster: it owns the rendezvous slice of the key space for its id,
-//! answers off-owner requests with a typed `WrongShard`, and pulls
-//! certificates it newly owns from peers before cold-simulating.
+//! started. A repeat refutation is always a byte lookup in the in-memory
+//! certificate cache; `--store-dir` adds the cache's disk tier, so
+//! refutations are served memory → disk → simulate, warm hits survive
+//! restarts, and the server accepts shipped certificates (`PutCert`, the
+//! receiving end of `flm-client rebalance`). `--shard-id`/`--peers` place
+//! the process in a sharded cluster: it owns the rendezvous slice of the
+//! key space for its id, answers off-owner requests with a typed
+//! `WrongShard`, and pulls certificates it newly owns from peers before
+//! cold-simulating.
 
 use std::process::ExitCode;
 
@@ -34,7 +37,9 @@ fn usage() -> &'static str {
      \x20                [--max-body-bytes N] [--read-timeout-ms N] [--max-hold-ms N]\n\
      \x20                [--max-requests N] [--max-connections N] [--max-pipelined N]\n\
      \x20                [--store-dir DIR] [--port-file FILE]\n\
-     \x20                [--shard-id N --peers ADDR,ADDR,... [--shard-count N]]"
+     \x20                [--shard-id N --peers ADDR,ADDR,... [--shard-count N]]\n\
+     repeat refutes are answered from an in-memory certificate cache; --store-dir\n\
+     adds its disk tier (restart warmth, and PutCert from flm-client rebalance)"
 }
 
 fn parse(args: &[String]) -> Result<ServeConfig, String> {

@@ -20,9 +20,10 @@
 //!   the single refutation code path shared with `regen --refute`.
 //! * [`audit`] — the `flm-audit` verdict logic as a library, so the Audit
 //!   RPC and the binary cannot drift.
-//! * [`store`] — the content-addressed on-disk certificate store: one
-//!   `FLMC` file per canonical query key, written atomically, verified on
-//!   load, quarantined on damage. Warm hits survive restarts.
+//! * [`store`] — the answer cache: canonical query key → certificate
+//!   bytes, with an always-on memory tier and an optional content-addressed
+//!   disk tier (one `FLMC` file per key, written atomically, verified on
+//!   load, quarantined on damage) whose warm hits survive restarts.
 //! * `front` (private) — the front end both reactors share: listener and
 //!   listen backlog, accept and connection shedding, incremental framing
 //!   with typed answers to hostile bytes, in-order pipelined responses,
@@ -44,9 +45,9 @@
 //! * [`client`] / [`loadgen`] — the blocking client and the deterministic
 //!   load generator behind `flm-client` and `BENCH_serve.json`.
 //!
-//! With a store directory configured, a certificate one request paid to
-//! compute is a byte lookup for every later request asking the same
-//! canonical query, in this process or a later one. Sharding extends the
+//! A certificate one request paid to compute is a byte lookup for every
+//! later request asking the same canonical query in this process, and,
+//! with a store directory configured, in a later one. Sharding extends the
 //! same economics across machines: rendezvous hashing gives each canonical
 //! query exactly one owner, so the cluster simulates each universe once.
 

@@ -303,9 +303,9 @@ pub struct RangeReport {
 
 impl RangeReport {
     /// Store hits per answered request — 1.0 means the range served the
-    /// whole run off its certificate store without simulating once.
-    /// Run-cache warmth shows up as latency, not in this rate, so a
-    /// store-less shard reports 0 however warm it runs.
+    /// whole run off its certificate store without simulating once. Every
+    /// shard has the store's memory tier, so a shard without a store
+    /// directory reports its warm repeats here too.
     pub fn hit_rate(&self) -> f64 {
         if self.ok == 0 {
             0.0

@@ -498,7 +498,8 @@ stats_counter_table! {
     store_disk_hits,
     /// Certificate-store lookups that fell through to a simulation.
     store_misses,
-    /// Fresh certificates persisted to the store.
+    /// Fresh certificates persisted to the store's disk tier (0 without a
+    /// store directory).
     store_stores,
     /// Damaged store entries quarantined instead of served.
     store_quarantined,

@@ -1,6 +1,6 @@
 //! The `flm-serve` server: an event-driven FLMC-RPC server — one reactor
 //! thread multiplexing every connection over epoll, a small worker pool for
-//! CPU-bound refutation work, and an optional on-disk certificate store.
+//! CPU-bound refutation work, and one answer cache for certificates.
 //!
 //! # Architecture
 //!
@@ -35,9 +35,11 @@
 //!
 //! # Caching
 //!
-//! With [`ServeConfig::store_dir`] set, refutations consult a
-//! [`CertStore`]: memory → disk → simulate, with every fresh certificate
-//! persisted, so warm answers are byte lookups that survive restarts —
+//! Every refutation takes one path through the server's [`CertStore`]:
+//! canonical key → memory → disk (with [`ServeConfig::store_dir`]) → peer
+//! shards (when sharded) → simulate, and the answer is remembered. A warm
+//! answer is therefore a byte lookup with or without a directory; the
+//! directory only decides whether warmth survives a restart. This is
 //! sound because a hit requires the full canonical query key to match
 //! byte-for-byte, and under the determinism axiom that key fixes the
 //! certificate. The [`Request::Stats`] RPC exposes every counter.
@@ -91,8 +93,9 @@ pub struct ServeConfig {
     /// Ceiling clamped onto every requested [`RunPolicy`]: a query may
     /// tighten the simulation budget, never raise it past this.
     pub policy_ceiling: RunPolicy,
-    /// Root directory for the persistent certificate store; `None` serves
-    /// from the in-memory caches only (warmth dies with the process).
+    /// Root directory for the certificate store's disk tier; `None` keeps
+    /// the memory tier only (warm answers are still byte lookups, but
+    /// warmth dies with the process and `PutCert` is refused).
     pub store_dir: Option<PathBuf>,
     /// Concurrent connections the reactor will hold; accepts beyond this
     /// are answered with [`Response::Overloaded`] and closed.
@@ -169,7 +172,7 @@ struct Completion {
 struct Shared {
     config: ServeConfig,
     counters: Counters,
-    store: Option<CertStore>,
+    store: CertStore,
     jobs: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     completions: Mutex<Vec<Completion>>,
@@ -191,11 +194,7 @@ impl Shared {
         let c = &self.counters;
         let cache = flm_sim::runcache::stats();
         let async_stats = flm_core::refute::async_search_stats();
-        let store = self
-            .store
-            .as_ref()
-            .map(CertStore::stats)
-            .unwrap_or_default();
+        let store = self.store.stats();
         StatsReport {
             connections_accepted: c.front.connections_accepted.load(Ordering::Relaxed),
             connections_shed: c.front.connections_shed.load(Ordering::Relaxed),
@@ -250,8 +249,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, builds the poller (and certificate store when
-    /// configured), and spawns the reactor and worker threads.
+    /// Binds the listener, builds the poller and the certificate store, and
+    /// spawns the reactor and worker threads.
     ///
     /// # Errors
     ///
@@ -273,10 +272,10 @@ impl Server {
         let local_addr = front.local_addr()?;
         let workers = config.workers.max(1);
         let store = match &config.store_dir {
-            Some(dir) => Some(
-                CertStore::open(dir.clone()).map_err(|e| std::io::Error::other(e.to_string()))?,
-            ),
-            None => None,
+            Some(dir) => {
+                CertStore::open(dir.clone()).map_err(|e| std::io::Error::other(e.to_string()))?
+            }
+            None => CertStore::default(),
         };
 
         let shared = Arc::new(Shared {
@@ -329,13 +328,12 @@ impl Server {
         self.shared.busy_workers.load(Ordering::SeqCst)
     }
 
-    /// Drops the certificate store's in-memory layer (a no-op without a
-    /// store), forcing the next lookup back to disk. Benches use this to
-    /// isolate the disk-warm path from the memory-warm one.
+    /// Drops the certificate store's in-memory layer, forcing the next
+    /// lookup back to disk, or to a fresh simulation without a store
+    /// directory. Benches use this to isolate the disk-warm and cold paths
+    /// from the memory-warm one.
     pub fn drop_store_memory(&self) {
-        if let Some(store) = &self.shared.store {
-            store.clear_memory();
-        }
+        self.shared.store.clear_memory();
     }
 
     /// Blocks until the server is shut down (never, unless another thread
@@ -565,31 +563,24 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
             let graph = params.graph.as_ref();
             let f = params.f as usize;
 
-            // Durable layer first: memory → disk → simulate. A stored hit
-            // is byte-identical to a fresh run of the same canonical key
+            // The answer cache first: memory, then disk if any. A cached
+            // hit is byte-identical to a fresh run of the same canonical key
             // (determinism axiom), so which layer answered is invisible to
             // the client.
-            let key = shared
-                .store
-                .as_ref()
-                .map(|_| query::canonical_query_key(theorem, protocol, graph, f, &policy));
-            if let (Some(store), Some(key)) = (&shared.store, &key) {
-                if let Some(bytes) = store.lookup(key) {
-                    return Response::Certificate { bytes };
-                }
-                // Owned key, cold store: before paying for a simulation,
-                // ask the peer shards — after a topology change the
-                // previous owner's disk still holds the certificate.
-                if let Some(bytes) = fetch_from_peers(shared, key) {
-                    store.store(key, &bytes);
-                    return Response::Certificate { bytes };
-                }
+            let key = query::canonical_query_key(theorem, protocol, graph, f, &policy);
+            if let Some(bytes) = shared.store.lookup(&key) {
+                return Response::Certificate { bytes };
+            }
+            // Owned key, cold cache: before paying for a simulation, ask the
+            // peer shards — after a topology change the previous owner
+            // still holds the certificate.
+            if let Some(bytes) = fetch_from_peers(shared, &key) {
+                shared.store.store(&key, &bytes);
+                return Response::Certificate { bytes };
             }
             match query::refute_to_bytes(theorem, protocol, graph, f, policy) {
                 Ok(bytes) => {
-                    if let (Some(store), Some(key)) = (&shared.store, &key) {
-                        store.store(key, &bytes);
-                    }
+                    shared.store.store(&key, &bytes);
                     Response::Certificate { bytes }
                 }
                 Err(e @ query::QueryError::BadRequest { .. })
@@ -629,10 +620,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
             c.requests_fetch.fetch_add(1, Ordering::Relaxed);
             // Deliberately *not* ownership-checked: the caller is a shard
             // that owns this key now and is asking the previous owner.
-            let cert = shared
-                .store
-                .as_ref()
-                .and_then(|store| store.lookup(&RunKey::from_bytes(key)));
+            let cert = shared.store.lookup(&RunKey::from_bytes(key));
             Response::FetchCert { cert }
         }
         Request::PutCert { key, cert } => {
@@ -648,13 +636,16 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     };
                 }
             }
-            let Some(store) = &shared.store else {
+            // A shipped certificate is the receiver's to keep durably: the
+            // sender deletes its copy after a successful ship, so a
+            // memory-only receiver would lose it on restart.
+            if shared.store.dir().is_none() {
                 return Response::Error {
                     code: ErrorCode::BadRequest,
                     detail: "this server has no store directory; nowhere to keep the certificate"
                         .into(),
                 };
-            };
+            }
             // Ship-verify-then-own: shipped bytes pass the same decode +
             // canonical re-encode gate a disk load does before this store
             // will ever serve them.
@@ -664,7 +655,7 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
                     detail: "shipped bytes are not a canonically-encoded FLMC certificate".into(),
                 };
             }
-            store.store(&RunKey::from_bytes(key), &cert);
+            shared.store.store(&RunKey::from_bytes(key), &cert);
             Response::PutCert
         }
     }
@@ -673,11 +664,11 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
 /// Peer-connect budget for fetch-on-miss: a down peer costs at most this
 /// long before the shard falls back to simulating.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(200);
-/// Peer-read budget for fetch-on-miss: a lookup is a disk read, not a
+/// Peer-read budget for fetch-on-miss: a lookup is a cache read, not a
 /// simulation, so a healthy peer answers in microseconds.
 const PEER_READ_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// After a local store miss on an owned key, asks each peer shard's store
+/// After a local cache miss on an owned key, asks each peer shard's cache
 /// for the certificate (the pull half of topology-change recovery).
 /// Received bytes are adopted only after the ship-verify-then-own gate.
 fn fetch_from_peers(shared: &Shared, key: &RunKey) -> Option<Vec<u8>> {

@@ -1,14 +1,14 @@
-//! A content-addressed on-disk certificate store: warm hits that survive
-//! restarts.
+//! The answer cache of every `flm-serve`: an always-on memory tier over an
+//! optional content-addressed disk tier whose warm hits survive restarts.
 //!
-//! The in-memory runcache dies with the process; this store is the durable
-//! layer behind it. Each entry is one portable `FLMC` file named by the
-//! FNV-1a fingerprint of its canonical query key
-//! ([`crate::query::canonical_query_key`]), with the full key bytes in a
+//! Entries are keyed by canonical query key
+//! ([`crate::query::canonical_query_key`]). On disk each is one portable
+//! `FLMC` file named by the key's FNV-1a fingerprint, with the key bytes in a
 //! sidecar so probes compare whole keys — fingerprints index, bytes decide,
 //! the same collision discipline as `flm_sim::runcache`. The `.flmc` file
 //! is the certificate bytes and nothing else, so any stored entry can be
-//! fed straight to `flm-audit`.
+//! fed straight to `flm-audit`. A memory-only store skips every disk read,
+//! write and quarantine.
 //!
 //! # Crash atomicity
 //!
@@ -58,13 +58,13 @@ pub struct StoreStats {
     pub disk_hits: u64,
     /// Lookups that found nothing usable.
     pub misses: u64,
-    /// Fresh certificates persisted.
+    /// Fresh certificates persisted to disk (stays 0 without a directory).
     pub stores: u64,
     /// Damaged entries moved to `quarantine/` instead of being served.
     pub quarantined: u64,
     /// Entries pushed out of the bounded in-memory tier (disk copies are
     /// untouched; an evicted entry just pays one verified disk read on its
-    /// next hit).
+    /// next hit, or a fresh simulation without a directory).
     pub evictions: u64,
 }
 
@@ -92,19 +92,22 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+#[derive(Default)]
 struct MemoryLayer {
     /// fingerprint → (key bytes, certificate bytes); bounded FIFO.
     entries: HashMap<u64, (Vec<u8>, Vec<u8>)>,
     order: std::collections::VecDeque<u64>,
 }
 
-/// A content-addressed certificate store rooted at one directory.
+/// A certificate store: a memory tier, backed by one directory when opened
+/// with [`CertStore::open`]; [`CertStore::default`] is memory-only.
 ///
 /// Thread-safe: lookups and stores may race freely across server workers —
 /// the rename protocol makes concurrent stores of the same key last-writer-
 /// wins with both writers leaving a valid entry.
+#[derive(Default)]
 pub struct CertStore {
-    dir: PathBuf,
+    dir: Option<PathBuf>,
     memory: Mutex<MemoryLayer>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -145,29 +148,20 @@ impl CertStore {
             source,
         })?;
         Ok(CertStore {
-            dir,
-            memory: Mutex::new(MemoryLayer {
-                entries: HashMap::new(),
-                order: std::collections::VecDeque::new(),
-            }),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            temp_seq: AtomicU64::new(0),
+            dir: Some(dir),
+            ..CertStore::default()
         })
     }
 
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The directory this store persists into; `None` for a memory-only
+    /// store.
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
     }
 
-    /// Looks `key` up: memory first, then disk (verified on load). Returns
-    /// the certificate bytes, or `None` on a miss — including any form of
-    /// on-disk damage, which is quarantined rather than served.
+    /// Looks `key` up: memory first, then disk if there is one (verified on
+    /// load). Returns the certificate bytes, or `None` on a miss — including
+    /// any form of on-disk damage, which is quarantined rather than served.
     pub fn lookup(&self, key: &RunKey) -> Option<Vec<u8>> {
         let fp = key.fingerprint();
         {
@@ -192,25 +186,25 @@ impl CertStore {
         }
     }
 
-    /// Persists a fresh certificate under `key`, atomically, and seeds the
-    /// memory layer. Persistence failures are swallowed after counting a
-    /// miss-shaped outcome is pointless — the caller already has the bytes;
-    /// a store that cannot write simply stays cold.
+    /// Seeds the memory layer with a fresh certificate under `key` and, with
+    /// a directory, persists it atomically. Persistence failures are
+    /// swallowed — the caller already has the bytes; a store that cannot
+    /// write simply stays cold on disk.
     pub fn store(&self, key: &RunKey, cert: &[u8]) {
         let fp = key.fingerprint();
-        if self.write_entry(fp, key.bytes(), cert).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
+        if let Some(dir) = &self.dir {
+            if self.write_entry(dir, fp, key.bytes(), cert).is_ok() {
+                self.stores.fetch_add(1, Ordering::Relaxed);
+            }
         }
         self.remember(fp, key.bytes().to_vec(), cert.to_vec());
     }
 
-    /// Drops the in-memory layer (counters keep running). The disk-warm
-    /// bench legs use this to force every hit through the decode-and-verify
-    /// disk path.
+    /// Drops the in-memory layer (counters keep running). The bench legs
+    /// use this to force every hit through the decode-and-verify disk path,
+    /// or, without a directory, back to a fresh simulation.
     pub fn clear_memory(&self) {
-        let mut memory = self.memory.lock().unwrap_or_else(|p| p.into_inner());
-        memory.entries.clear();
-        memory.order.clear();
+        *self.memory.lock().unwrap_or_else(|p| p.into_inner()) = MemoryLayer::default();
     }
 
     /// Reads the counters.
@@ -239,18 +233,19 @@ impl CertStore {
     }
 
     fn lookup_disk(&self, fp: u64, key: &[u8]) -> Option<Vec<u8>> {
+        let dir = self.dir.as_deref()?;
         // The sidecar is the commit point: no key file, no entry.
-        let stored_key = fs::read(key_path(&self.dir, fp)).ok()?;
+        let stored_key = fs::read(key_path(dir, fp)).ok()?;
         if stored_key != key {
             // A real FNV collision (or a foreign file): not our entry.
             return None;
         }
-        let bytes = match fs::read(cert_path(&self.dir, fp)) {
+        let bytes = match fs::read(cert_path(dir, fp)) {
             Ok(bytes) => bytes,
             Err(_) => {
                 // Keyed entry without its certificate — the rename protocol
                 // never produces this, so the directory was damaged.
-                self.quarantine(fp);
+                self.quarantine(dir, fp);
                 return None;
             }
         };
@@ -259,7 +254,7 @@ impl CertStore {
         if verified_cert_bytes(&bytes) {
             Some(bytes)
         } else {
-            self.quarantine(fp);
+            self.quarantine(dir, fp);
             None
         }
     }
@@ -267,10 +262,10 @@ impl CertStore {
     /// Moves a damaged entry (both files) into `quarantine/`, preserving
     /// the bytes for post-mortem while guaranteeing the next lookup misses
     /// cleanly and the next store rebuilds the entry.
-    fn quarantine(&self, fp: u64) {
-        let qdir = self.dir.join("quarantine");
+    fn quarantine(&self, dir: &Path, fp: u64) {
+        let qdir = dir.join("quarantine");
         let _ = fs::create_dir_all(&qdir);
-        for path in [cert_path(&self.dir, fp), key_path(&self.dir, fp)] {
+        for path in [cert_path(dir, fp), key_path(dir, fp)] {
             if let Some(name) = path.file_name() {
                 let _ = fs::rename(&path, qdir.join(name));
             }
@@ -278,17 +273,17 @@ impl CertStore {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn write_entry(&self, fp: u64, key: &[u8], cert: &[u8]) -> io::Result<()> {
+    fn write_entry(&self, dir: &Path, fp: u64, key: &[u8], cert: &[u8]) -> io::Result<()> {
         // Certificate first, sidecar last: the sidecar commits the entry.
-        self.write_atomic(&cert_path(&self.dir, fp), cert)?;
-        self.write_atomic(&key_path(&self.dir, fp), key)
+        self.write_atomic(&cert_path(dir, fp), cert)?;
+        self.write_atomic(&key_path(dir, fp), key)
     }
 
     fn write_atomic(&self, dest: &Path, bytes: &[u8]) -> io::Result<()> {
         let seq = self.temp_seq.fetch_add(1, Ordering::Relaxed);
         // Unique per (process, store, write): concurrent writers of the
         // same key each land a complete file; rename picks a winner.
-        let tmp = self.dir.join(format!(".tmp-{}-{seq}", std::process::id()));
+        let tmp = dest.with_file_name(format!(".tmp-{}-{seq}", std::process::id()));
         let mut file = fs::File::create(&tmp)?;
         let written = file.write_all(bytes).and_then(|()| file.sync_all());
         drop(file);
@@ -527,20 +522,33 @@ mod tests {
     fn memory_tier_capacity_bounds_entries_and_counts_evictions() {
         let dir = temp_dir("cap");
         let cert = sample_cert();
-        let store = CertStore::open(&dir).unwrap();
-        let inserts = MEMORY_ENTRIES as u64 + 3;
-        for tag in 0..inserts {
-            store.store(&sample_key(1000 + tag), &cert);
+        for store in [CertStore::open(&dir).unwrap(), CertStore::default()] {
+            let durable = store.dir().is_some();
+            let inserts = MEMORY_ENTRIES as u64 + 3;
+            for tag in 0..inserts {
+                store.store(&sample_key(1000 + tag), &cert);
+            }
+            // Three past capacity: three FIFO evictions, oldest first.
+            assert_eq!(store.stats().evictions, 3, "durable: {durable}");
+            // The newest entry answers from memory.
+            let newest = sample_key(1000 + inserts - 1);
+            assert_eq!(store.lookup(&newest).as_deref(), Some(&cert[..]));
+            assert_eq!(store.stats().mem_hits, 1, "durable: {durable}");
+            // An evicted one answers from disk (still correct, just slower)
+            // when there is a disk, and is a plain miss when there is not.
+            let evicted = store.lookup(&sample_key(1000));
+            let stats = store.stats();
+            if durable {
+                assert_eq!(evicted.as_deref(), Some(&cert[..]));
+                assert_eq!(
+                    (stats.disk_hits, stats.misses, stats.stores),
+                    (1, 0, inserts)
+                );
+            } else {
+                assert_eq!(evicted, None);
+                assert_eq!((stats.disk_hits, stats.misses, stats.stores), (0, 1, 0));
+            }
         }
-        // Three past capacity: three FIFO evictions, oldest first.
-        assert_eq!(store.stats().evictions, 3);
-        // The newest entry answers from memory, an evicted one from disk
-        // (still correct, just slower).
-        let newest = sample_key(1000 + inserts - 1);
-        assert_eq!(store.lookup(&newest).as_deref(), Some(&cert[..]));
-        assert_eq!(store.stats().mem_hits, 1);
-        assert_eq!(store.lookup(&sample_key(1000)).as_deref(), Some(&cert[..]));
-        assert_eq!(store.stats().disk_hits, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use flm_serve::audit::{audit_bytes, EXIT_VERIFIED};
 use flm_serve::client::{Client, ClientError};
-use flm_serve::query::{refute_to_bytes, Theorem};
+use flm_serve::query::{canonical_query_key, refute_to_bytes, Theorem};
 use flm_serve::rpc::Verdict;
 use flm_serve::server::{ServeConfig, Server};
 use flm_sim::RunPolicy;
@@ -230,7 +230,8 @@ fn ping_wave_serves_many_simultaneous_connections() {
 }
 
 /// The Stats RPC reports the counters the server actually incremented, and
-/// repeated identical refutations are visible as run-cache traffic.
+/// a repeated identical refutation is a memory hit in the answer cache even
+/// without a store directory.
 #[test]
 fn stats_rpc_reflects_served_requests() {
     let server = Server::start(ServeConfig::default()).unwrap();
@@ -254,6 +255,35 @@ fn stats_rpc_reflects_served_requests() {
     // The run cache is process-global (other tests in this binary also
     // feed it), so only a monotone claim is safe: traffic exists.
     assert!(stats.cache_hits + stats.cache_misses > 0);
+    // One simulation, one byte lookup, nothing persisted (no directory).
+    assert_eq!(stats.store_misses, 1);
+    assert_eq!(stats.store_mem_hits, 1);
+    assert_eq!(stats.store_stores, 0);
+    server.shutdown();
+}
+
+/// A server without a store directory still answers FetchCert from its
+/// answer cache, but refuses PutCert: the shipping side deletes its copy
+/// after a successful ship, so the receiver must keep it durably.
+#[test]
+fn storeless_server_fetches_from_memory_but_refuses_put_cert() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let served = client.refute("ba-nodes", None, None, 1, None).unwrap();
+    let key = canonical_query_key(Theorem::BaNodes, None, None, 1, &RunPolicy::default());
+    assert_eq!(
+        client.fetch_cert(key.bytes()).unwrap(),
+        Some(served.clone())
+    );
+
+    match client.put_cert(key.bytes(), &served) {
+        Err(ClientError::ErrorResponse { code, detail }) => {
+            assert_eq!(code, flm_serve::rpc::ErrorCode::BadRequest);
+            assert!(detail.contains("no store directory"), "detail: {detail}");
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
     server.shutdown();
 }
 

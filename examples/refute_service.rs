@@ -74,8 +74,8 @@ fn main() {
 
     // ── A mixed load burst through the load generator ──────────────────
     // 4 connections × 8 requests, refute:verify:audit = 2:1:1. Every
-    // refute after the first is a warm run-cache hit — the workers share
-    // the process-global cache.
+    // refute after the first is a byte lookup in the server's answer cache
+    // (the certificate store's memory tier), which all workers share.
     let report = loadgen::run(
         &addr,
         4,

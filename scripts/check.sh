@@ -13,8 +13,9 @@
 #
 # `--serve-smoke` runs only the flm-serve round-trip smoke (also part of the
 # full gate): start flm-serve on an ephemeral port, drive a refute + verify +
-# audit round trip through flm-client, and audit the wire certificate with
-# the local flm-audit.
+# audit round trip through flm-client, audit the wire certificate with the
+# local flm-audit, and require a repeat refute to come back byte-identical
+# from the answer cache's memory tier.
 #
 # `--shard-smoke` stands up a 2-shard cluster behind an flm-router, all
 # via the release binaries: warm keys through the router, drive the router
@@ -64,7 +65,20 @@ serve_smoke() {
         echo "flm-client audit exited $rc on damaged bytes (expected 2: malformed)"
         return 1
     fi
-    ./target/release/flm-client stats --addr "$addr"
+    # A repeat refute on this store-less server is a byte lookup in the
+    # answer cache's memory tier: the same bytes, counted as one mem hit.
+    ./target/release/flm-client refute ba-nodes --addr "$addr" --out "$tmpdir/wire2.flmc"
+    cmp "$tmpdir/wire.flmc" "$tmpdir/wire2.flmc" || {
+        echo "repeat refute served different certificate bytes"
+        return 1
+    }
+    local stats
+    stats="$(./target/release/flm-client stats --addr "$addr")"
+    echo "$stats"
+    grep -q "cert store: 1 mem hits" <<< "$stats" || {
+        echo "repeat refute was not answered from the answer cache's memory tier"
+        return 1
+    }
 
     # Restart warmth: two server lifetimes over the same --store-dir must
     # serve byte-identical certificate bytes — the second from the on-disk
