@@ -94,3 +94,25 @@ fn campaign_incidents_are_structured_not_crashes() {
     );
     assert!(!outcome.report.violations.is_empty());
 }
+
+#[test]
+fn campaign_is_byte_identical_sequential_and_parallel() {
+    // Same seed, once inline under `flm_par::sequential` and once on the
+    // pool: thread count must be invisible in the report and the
+    // certificates. The run cache is cleared so both legs simulate.
+    let config = smoke_config(0x5EC);
+    flm_sim::runcache::clear();
+    let sequential = flm_par::sequential(|| run_campaign(&config));
+    flm_sim::runcache::clear();
+    let parallel = run_campaign(&config);
+    assert!(!sequential.certs.is_empty(), "campaign found no violations");
+    assert_eq!(
+        sequential.report.to_json(),
+        parallel.report.to_json(),
+        "report differs between sequential and parallel runs"
+    );
+    assert_eq!(
+        sequential.certs, parallel.certs,
+        "certificates differ between sequential and parallel runs"
+    );
+}

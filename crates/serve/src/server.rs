@@ -8,11 +8,14 @@
 //! crate's `front` module): the listener, every connection's framing,
 //! pipelining and write buffer, idle timeouts and the shutdown drain.
 //! What is the server's own is how a decoded request is answered: inline
-//! on the reactor (zero-hold pings, stats snapshots) or as a job for the
-//! worker pool (refute, verify, audit, held pings), whose completions
-//! return through a wake channel. Responses leave in strict request order
-//! no matter which worker finishes first, so one process serves thousands
-//! of pipelining sockets with `workers` threads.
+//! on the reactor (zero-hold pings, stats snapshots, memory-warm refutes)
+//! or as a job for the worker pool (refutes that missed memory, verify,
+//! audit, held pings), whose completions return through a wake channel.
+//! For every refute the reactor runs the refute prelude — ownership check,
+//! theorem parse, policy clamp, canonical key, memory tier — and only a
+//! miss crosses to a worker, carrying its key. Responses leave in strict
+//! request order no matter which worker finishes first, so one process
+//! serves thousands of pipelining sockets with `workers` threads.
 //!
 //! # Shedding
 //!
@@ -21,9 +24,9 @@
 //! worker is busy and the job queue is full is answered with a typed
 //! [`Response::Overloaded`] frame and the connection stays open (counted
 //! as `requests_shed`; inline requests still serve, so a saturated server
-//! remains observable). Per *connection*: an accept beyond
-//! `max_connections` is answered with `Overloaded` and closed (counted as
-//! `connections_shed`).
+//! remains observable, and a memory-warm refute is never shed). Per
+//! *connection*: an accept beyond `max_connections` is answered with
+//! `Overloaded` and closed (counted as `connections_shed`).
 //!
 //! # Budgets
 //!
@@ -36,12 +39,16 @@
 //! # Caching
 //!
 //! Every refutation takes one path through the server's [`CertStore`]:
-//! canonical key → memory → disk (with [`ServeConfig::store_dir`]) → peer
-//! shards (when sharded) → simulate, and the answer is remembered. A warm
-//! answer is therefore a byte lookup with or without a directory; the
-//! directory only decides whether warmth survives a restart. This is
-//! sound because a hit requires the full canonical query key to match
-//! byte-for-byte, and under the determinism axiom that key fixes the
+//! canonical key → memory (on the reactor) → disk (with
+//! [`ServeConfig::store_dir`]) → peer shards (when sharded) → simulate (on
+//! a worker), and the answer is remembered. A warm answer is therefore a
+//! byte lookup with or without a directory; the directory only decides
+//! whether warmth survives a restart. A disk hit stays on a worker: it is
+//! a blocking read plus a decode-and-re-encode verify, which would stall
+//! every connection the reactor serves. Each answered refute counts in
+//! exactly one of the store's memory-hit, disk-hit and miss counters.
+//! Caching is sound because a hit requires the full canonical query key to
+//! match byte-for-byte, and under the determinism axiom that key fixes the
 //! certificate. The [`Request::Stats`] RPC exposes every counter.
 
 use std::collections::VecDeque;
@@ -61,7 +68,7 @@ use crate::client::Client;
 use crate::frame::{Frame, DEFAULT_MAX_BODY_BYTES};
 use crate::front::{self, Front, Limits, Service};
 use crate::query::{self, Theorem};
-use crate::rpc::{ErrorCode, Request, Response, StatsReport};
+use crate::rpc::{ErrorCode, RefuteParams, Request, Response, StatsReport};
 use crate::shard::{self, ShardMap};
 use crate::store::{self, CertStore};
 use crate::sys;
@@ -155,11 +162,48 @@ struct Counters {
     async_refutes: AtomicU64,
 }
 
+impl Counters {
+    /// Counts one answered refute; `theorem` is `None` when the request
+    /// was answered before its theorem parsed.
+    fn refute_answered(&self, theorem: Option<Theorem>) {
+        self.requests_refute.fetch_add(1, Ordering::Relaxed);
+        if theorem == Some(Theorem::FlpAsync) {
+            self.async_refutes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// One unit of CPU-bound work handed from the reactor to the pool.
 struct Job {
     conn: u64,
     seq: u64,
-    request: Request,
+    work: Work,
+}
+
+/// What a worker runs for one job.
+enum Work {
+    /// A request the reactor does not answer: verify, audit, a held ping,
+    /// the shard-transfer RPCs.
+    Request(Request),
+    /// A refute whose prelude ran on the reactor and missed memory.
+    Refute(ColdRefute),
+}
+
+/// An owned, well-formed refute that missed the memory tier, with its
+/// canonical key, computed once by [`refute_prelude`].
+struct ColdRefute {
+    theorem: Theorem,
+    params: RefuteParams,
+    policy: RunPolicy,
+    key: RunKey,
+}
+
+/// How [`refute_prelude`] left a refute.
+enum Prelude {
+    /// Answered: wrong shard, bad request, or a memory-tier hit.
+    Answered(Response),
+    /// Continues on a worker: the store again, then peers, then simulation.
+    Cold(ColdRefute),
 }
 
 /// A finished job on its way back to the reactor.
@@ -380,6 +424,40 @@ struct Reactor {
     shared: Arc<Shared>,
 }
 
+impl Reactor {
+    /// Hands `work` to the pool, or sheds it with a typed answer when every
+    /// worker is busy and the job queue is full.
+    fn enqueue(&self, front: &mut Front<u64>, token: u64, seq: u64, work: Work) {
+        let config = &self.shared.config;
+        let mut jobs = relock(self.shared.jobs.lock());
+        let busy = self.shared.busy_workers.load(Ordering::SeqCst);
+        if busy >= config.workers && jobs.len() >= config.queue_depth {
+            let queued = jobs.len() as u32;
+            drop(jobs);
+            self.shared
+                .counters
+                .requests_shed
+                .fetch_add(1, Ordering::Relaxed);
+            let response = Response::Overloaded {
+                queued,
+                detail: format!(
+                    "all {} workers busy and {} requests queued; retry later",
+                    config.workers, queued
+                ),
+            };
+            front.fill(token, seq, &response);
+            return;
+        }
+        jobs.push_back(Job {
+            conn: token,
+            seq,
+            work,
+        });
+        drop(jobs);
+        self.shared.job_ready.notify_one();
+    }
+}
+
 impl Service for Reactor {
     /// Requests the connection has issued, against
     /// [`ServeConfig::max_requests_per_conn`].
@@ -426,9 +504,10 @@ impl Service for Reactor {
 
         let c = &self.shared.counters;
         match request {
-            // Zero-hold pings and stats snapshots are reactor-inline: they
-            // cost microseconds and must keep answering while the worker
-            // pool is saturated (that is what makes saturation observable).
+            // Zero-hold pings, stats snapshots and memory-warm refutes are
+            // reactor-inline: they cost microseconds and must keep
+            // answering while the worker pool is saturated (that is what
+            // makes saturation observable).
             Request::Ping { payload, hold_ms } if hold_ms.min(config.max_hold_ms) == 0 => {
                 c.requests_ping.fetch_add(1, Ordering::Relaxed);
                 front.fill(token, seq, &Response::Pong { payload });
@@ -437,31 +516,11 @@ impl Service for Reactor {
                 c.requests_stats.fetch_add(1, Ordering::Relaxed);
                 front.fill(token, seq, &Response::Stats(self.shared.snapshot()));
             }
-            request => {
-                let mut jobs = relock(self.shared.jobs.lock());
-                let busy = self.shared.busy_workers.load(Ordering::SeqCst);
-                if busy >= config.workers && jobs.len() >= config.queue_depth {
-                    let queued = jobs.len() as u32;
-                    drop(jobs);
-                    c.requests_shed.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::Overloaded {
-                        queued,
-                        detail: format!(
-                            "all {} workers busy and {} requests queued; retry later",
-                            config.workers, queued
-                        ),
-                    };
-                    front.fill(token, seq, &response);
-                    return;
-                }
-                jobs.push_back(Job {
-                    conn: token,
-                    seq,
-                    request,
-                });
-                drop(jobs);
-                self.shared.job_ready.notify_one();
-            }
+            Request::Refute(params) => match refute_prelude(&self.shared, params) {
+                Prelude::Answered(response) => front.fill(token, seq, &response),
+                Prelude::Cold(cold) => self.enqueue(front, token, seq, Work::Refute(cold)),
+            },
+            request => self.enqueue(front, token, seq, Work::Request(request)),
         }
     }
 
@@ -495,7 +554,10 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.busy_workers.fetch_add(1, Ordering::SeqCst);
-        let response = dispatch(job.request, shared);
+        let response = match job.work {
+            Work::Request(request) => dispatch(request, shared),
+            Work::Refute(cold) => refute_cold(cold, shared),
+        };
         shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
         relock(shared.completions.lock()).push(Completion {
             conn: job.conn,
@@ -507,8 +569,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Executes one CPU-bound request. Inline kinds (zero-hold pings, stats)
-/// normally never reach here, but the handling is kept complete so a job is
-/// a job regardless of routing.
+/// and refutes (queued as [`Work::Refute`] after their prelude) normally
+/// never reach here, but the handling is kept complete so a job is a job
+/// regardless of routing.
 fn dispatch(request: Request, shared: &Shared) -> Response {
     let c = &shared.counters;
     match request {
@@ -520,84 +583,10 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
             }
             Response::Pong { payload }
         }
-        Request::Refute(params) => {
-            c.requests_refute.fetch_add(1, Ordering::Relaxed);
-            // Sharded: an off-owner request is answered with the owner's
-            // address, never silently double-simulated. The routing key
-            // hashes the request as sent (requested-or-default policy),
-            // exactly what the router hashes — agreement by construction.
-            if let Some(role) = &shared.config.shard {
-                match shard::routing_key(&params) {
-                    Ok(rkey) => {
-                        let owner = role.map.owner_of(&rkey);
-                        if owner != role.id {
-                            c.wrong_shard.fetch_add(1, Ordering::Relaxed);
-                            return Response::WrongShard {
-                                owner,
-                                addr: role.map.addr(owner).to_owned(),
-                            };
-                        }
-                    }
-                    Err(e) => {
-                        return Response::Error {
-                            code: ErrorCode::BadRequest,
-                            detail: e.to_string(),
-                        }
-                    }
-                }
-            }
-            let theorem = match Theorem::parse(&params.theorem) {
-                Ok(theorem) => theorem,
-                Err(e) => {
-                    return Response::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: e.to_string(),
-                    }
-                }
-            };
-            if theorem == Theorem::FlpAsync {
-                c.async_refutes.fetch_add(1, Ordering::Relaxed);
-            }
-            let policy = clamp_policy(params.policy, shared.config.policy_ceiling);
-            let protocol = params.protocol.as_deref();
-            let graph = params.graph.as_ref();
-            let f = params.f as usize;
-
-            // The answer cache first: memory, then disk if any. A cached
-            // hit is byte-identical to a fresh run of the same canonical key
-            // (determinism axiom), so which layer answered is invisible to
-            // the client.
-            let key = query::canonical_query_key(theorem, protocol, graph, f, &policy);
-            if let Some(bytes) = shared.store.lookup(&key) {
-                return Response::Certificate { bytes };
-            }
-            // Owned key, cold cache: before paying for a simulation, ask the
-            // peer shards — after a topology change the previous owner
-            // still holds the certificate.
-            if let Some(bytes) = fetch_from_peers(shared, &key) {
-                shared.store.store(&key, &bytes);
-                return Response::Certificate { bytes };
-            }
-            match query::refute_to_bytes(theorem, protocol, graph, f, policy) {
-                Ok(bytes) => {
-                    shared.store.store(&key, &bytes);
-                    Response::Certificate { bytes }
-                }
-                Err(e @ query::QueryError::BadRequest { .. })
-                | Err(e @ query::QueryError::UnknownTheorem { .. }) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: e.to_string(),
-                },
-                Err(e @ query::QueryError::Refute { .. }) => Response::Error {
-                    code: ErrorCode::RefuteFailed,
-                    detail: e.to_string(),
-                },
-                Err(e @ query::QueryError::SelfCheck { .. }) => Response::Error {
-                    code: ErrorCode::Internal,
-                    detail: e.to_string(),
-                },
-            }
-        }
+        Request::Refute(params) => match refute_prelude(shared, params) {
+            Prelude::Answered(response) => response,
+            Prelude::Cold(cold) => refute_cold(cold, shared),
+        },
         Request::Verify { cert } => {
             c.requests_verify.fetch_add(1, Ordering::Relaxed);
             let (verdict, detail) = audit::verify_bytes(&cert);
@@ -658,6 +647,119 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
             shared.store.store(&RunKey::from_bytes(key), &cert);
             Response::PutCert
         }
+    }
+}
+
+/// The refute prelude, run by the reactor for every Refute: ownership
+/// check, theorem parse, policy clamp, canonical key, then the store's
+/// memory tier. A hit is answered here; a miss carries its key on to
+/// [`refute_cold`], so the key is computed once either way.
+fn refute_prelude(shared: &Shared, params: RefuteParams) -> Prelude {
+    let c = &shared.counters;
+    let bad_request = |detail: String| {
+        c.refute_answered(None);
+        Prelude::Answered(Response::Error {
+            code: ErrorCode::BadRequest,
+            detail,
+        })
+    };
+    // Sharded: an off-owner request is answered with the owner's address,
+    // never silently double-simulated, and before any store traffic. The
+    // routing key hashes the request as sent (requested-or-default policy),
+    // exactly what the router hashes — agreement by construction.
+    if let Some(role) = &shared.config.shard {
+        match shard::routing_key(&params) {
+            Ok(rkey) => {
+                let owner = role.map.owner_of(&rkey);
+                if owner != role.id {
+                    c.refute_answered(None);
+                    c.wrong_shard.fetch_add(1, Ordering::Relaxed);
+                    return Prelude::Answered(Response::WrongShard {
+                        owner,
+                        addr: role.map.addr(owner).to_owned(),
+                    });
+                }
+            }
+            Err(e) => return bad_request(e.to_string()),
+        }
+    }
+    let theorem = match Theorem::parse(&params.theorem) {
+        Ok(theorem) => theorem,
+        Err(e) => return bad_request(e.to_string()),
+    };
+    let policy = clamp_policy(params.policy, shared.config.policy_ceiling);
+    let key = query::canonical_query_key(
+        theorem,
+        params.protocol.as_deref(),
+        params.graph.as_ref(),
+        params.f as usize,
+        &policy,
+    );
+    // A cached hit is byte-identical to a fresh run of the same canonical
+    // key (determinism axiom), so which layer answered is invisible to the
+    // client.
+    match shared.store.lookup_memory(&key) {
+        Some(bytes) => {
+            c.refute_answered(Some(theorem));
+            Prelude::Answered(Response::Certificate { bytes })
+        }
+        None => Prelude::Cold(ColdRefute {
+            theorem,
+            params,
+            policy,
+            key,
+        }),
+    }
+}
+
+/// The worker half of a refute that missed memory: the store again (disk,
+/// if any), then peer shards (when sharded), then a fresh simulation,
+/// remembered.
+fn refute_cold(cold: ColdRefute, shared: &Shared) -> Response {
+    let ColdRefute {
+        theorem,
+        params,
+        policy,
+        key,
+    } = cold;
+    shared.counters.refute_answered(Some(theorem));
+    // The full lookup, memory included: a job queued behind another for
+    // the same key finds the certificate that job just remembered instead
+    // of paying a second disk read or simulation.
+    if let Some(bytes) = shared.store.lookup(&key) {
+        return Response::Certificate { bytes };
+    }
+    // Owned key, cold cache: before paying for a simulation, ask the peer
+    // shards — after a topology change the previous owner still holds the
+    // certificate.
+    if let Some(bytes) = fetch_from_peers(shared, &key) {
+        shared.store.store(&key, &bytes);
+        return Response::Certificate { bytes };
+    }
+    match query::refute_to_bytes(
+        theorem,
+        params.protocol.as_deref(),
+        params.graph.as_ref(),
+        params.f as usize,
+        policy,
+    ) {
+        Ok(bytes) => {
+            shared.store.store(&key, &bytes);
+            Response::Certificate { bytes }
+        }
+        Err(e @ query::QueryError::BadRequest { .. })
+        | Err(e @ query::QueryError::UnknownTheorem { .. }) => Response::Error {
+            code: ErrorCode::BadRequest,
+            detail: e.to_string(),
+        },
+        Err(e @ query::QueryError::Refute { .. }) => Response::Error {
+            code: ErrorCode::RefuteFailed,
+            detail: e.to_string(),
+        },
+        Err(e @ query::QueryError::SelfCheck { .. }) => Response::Error {
+            code: ErrorCode::Internal,
+            detail: e.to_string(),
+        },
     }
 }
 

@@ -30,7 +30,7 @@
 //! then overwrites the entry. Corruption can cost time, never correctness,
 //! and never a panic.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -92,11 +92,25 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// One memory-tier entry.
+struct MemoryEntry {
+    key: Vec<u8>,
+    cert: Vec<u8>,
+    /// Set by a hit, cleared when eviction passes over the entry: the
+    /// entry's second chance.
+    referenced: bool,
+}
+
+/// The bounded memory tier, evicted by CLOCK (second-chance FIFO): the
+/// oldest entry goes unless a hit referenced it since eviction last passed
+/// over it, in which case its bit is cleared and it moves to the back. With
+/// no hits this is plain FIFO.
 #[derive(Default)]
 struct MemoryLayer {
-    /// fingerprint → (key bytes, certificate bytes); bounded FIFO.
-    entries: HashMap<u64, (Vec<u8>, Vec<u8>)>,
-    order: std::collections::VecDeque<u64>,
+    /// fingerprint → entry.
+    entries: HashMap<u64, MemoryEntry>,
+    /// Fingerprints in clock order, oldest first.
+    order: VecDeque<u64>,
 }
 
 /// A certificate store: a memory tier, backed by one directory when opened
@@ -162,18 +176,31 @@ impl CertStore {
     /// Looks `key` up: memory first, then disk if there is one (verified on
     /// load). Returns the certificate bytes, or `None` on a miss — including
     /// any form of on-disk damage, which is quarantined rather than served.
+    /// Bumps exactly one of the `mem_hits`, `disk_hits` and `misses`
+    /// counters.
     pub fn lookup(&self, key: &RunKey) -> Option<Vec<u8>> {
-        let fp = key.fingerprint();
-        {
-            let memory = self.memory.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some((stored_key, cert)) = memory.entries.get(&fp) {
-                if stored_key == key.bytes() {
-                    self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(cert.clone());
-                }
-            }
+        self.lookup_memory(key).or_else(|| self.lookup_disk(key))
+    }
+
+    /// The memory step of [`CertStore::lookup`]: a hit bumps `mem_hits` and
+    /// marks the entry referenced; a miss counts nothing, because the
+    /// caller goes on to a full [`CertStore::lookup`], which counts it.
+    pub(crate) fn lookup_memory(&self, key: &RunKey) -> Option<Vec<u8>> {
+        let mut memory = self.memory.lock().unwrap_or_else(|p| p.into_inner());
+        let entry = memory.entries.get_mut(&key.fingerprint())?;
+        if entry.key != key.bytes() {
+            return None;
         }
-        match self.lookup_disk(fp, key.bytes()) {
+        entry.referenced = true;
+        self.mem_hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.cert.clone())
+    }
+
+    /// The step below memory: disk if there is one (verified on load, and
+    /// remembered in memory on a hit). Bumps `disk_hits` or `misses`.
+    fn lookup_disk(&self, key: &RunKey) -> Option<Vec<u8>> {
+        let fp = key.fingerprint();
+        match self.read_disk(fp, key.bytes()) {
             Some(cert) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 self.remember(fp, key.bytes().to_vec(), cert.clone());
@@ -221,10 +248,25 @@ impl CertStore {
 
     fn remember(&self, fp: u64, key: Vec<u8>, cert: Vec<u8>) {
         let mut memory = self.memory.lock().unwrap_or_else(|p| p.into_inner());
-        if memory.entries.insert(fp, (key, cert)).is_none() {
-            memory.order.push_back(fp);
-            while memory.order.len() > MEMORY_ENTRIES {
-                if let Some(old) = memory.order.pop_front() {
+        let entry = MemoryEntry {
+            key,
+            cert,
+            referenced: false,
+        };
+        if memory.entries.insert(fp, entry).is_some() {
+            return;
+        }
+        memory.order.push_back(fp);
+        while memory.order.len() > MEMORY_ENTRIES {
+            let Some(old) = memory.order.pop_front() else {
+                break;
+            };
+            match memory.entries.get_mut(&old) {
+                Some(entry) if entry.referenced => {
+                    entry.referenced = false;
+                    memory.order.push_back(old);
+                }
+                _ => {
                     memory.entries.remove(&old);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -232,7 +274,7 @@ impl CertStore {
         }
     }
 
-    fn lookup_disk(&self, fp: u64, key: &[u8]) -> Option<Vec<u8>> {
+    fn read_disk(&self, fp: u64, key: &[u8]) -> Option<Vec<u8>> {
         let dir = self.dir.as_deref()?;
         // The sidecar is the commit point: no key file, no entry.
         let stored_key = fs::read(key_path(dir, fp)).ok()?;
@@ -549,6 +591,53 @@ mod tests {
                 assert_eq!((stats.disk_hits, stats.misses, stats.stores), (0, 1, 0));
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hit_entry_survives_the_insert_wave_that_evicts_it_under_fifo() {
+        let store = CertStore::default();
+        let cert = sample_cert();
+        let first = sample_key(3000);
+        store.store(&first, &cert);
+        for tag in 1..MEMORY_ENTRIES as u64 {
+            store.store(&sample_key(3000 + tag), &cert);
+        }
+        // The tier is full and `first` is its oldest entry; hit it.
+        assert_eq!(store.lookup_memory(&first).as_deref(), Some(&cert[..]));
+        // A wave of fresh inserts half the tier's size: FIFO would evict
+        // `first` with the wave's first insert.
+        let wave = MEMORY_ENTRIES as u64 / 2;
+        for tag in 0..wave {
+            store.store(&sample_key(4000 + tag), &cert);
+        }
+        assert_eq!(store.stats().evictions, wave);
+        assert_eq!(store.lookup_memory(&first).as_deref(), Some(&cert[..]));
+        // The unreferenced entry after it went in its place.
+        assert_eq!(store.lookup_memory(&sample_key(3001)), None);
+        assert_eq!(store.lookup(&sample_key(3001)), None);
+        let stats = store.stats();
+        assert_eq!((stats.mem_hits, stats.misses), (2, 1));
+    }
+
+    #[test]
+    fn each_lookup_counts_in_exactly_one_tier() {
+        let dir = temp_dir("tiers");
+        let cert = sample_cert();
+        let key = sample_key(6);
+        let store = CertStore::open(&dir).unwrap();
+        // A memory miss alone counts nothing; the disk step decides.
+        assert_eq!(store.lookup_memory(&key), None);
+        assert_eq!(store.stats(), StoreStats::default());
+        assert_eq!(store.lookup(&key), None);
+        store.store(&key, &cert);
+        store.clear_memory();
+        assert_eq!(store.lookup_memory(&key), None);
+        assert_eq!(store.lookup(&key).as_deref(), Some(&cert[..]));
+        // The disk hit was remembered: the next lookup is a memory hit.
+        assert_eq!(store.lookup_memory(&key).as_deref(), Some(&cert[..]));
+        let stats = store.stats();
+        assert_eq!((stats.mem_hits, stats.disk_hits, stats.misses), (1, 1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

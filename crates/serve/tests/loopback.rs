@@ -15,6 +15,7 @@ use flm_serve::client::{Client, ClientError};
 use flm_serve::query::{canonical_query_key, refute_to_bytes, Theorem};
 use flm_serve::rpc::Verdict;
 use flm_serve::server::{ServeConfig, Server};
+use flm_serve::store::MEMORY_ENTRIES;
 use flm_sim::RunPolicy;
 
 /// ≥8 simultaneous clients, each sweeping all 8 theorem families: every
@@ -109,6 +110,14 @@ fn saturated_pool_sheds_with_a_typed_answer_then_recovers() {
     .unwrap();
     let addr = server.local_addr();
 
+    // Warm one key before the pool saturates.
+    let warm = refute_to_bytes(Theorem::BaNodes, None, None, 1, RunPolicy::default()).unwrap();
+    let mut warm_client = Client::connect(addr).unwrap();
+    assert_eq!(
+        warm_client.refute("ba-nodes", None, None, 1, None).unwrap(),
+        warm
+    );
+
     // Occupy the only worker with a long-held ping.
     let holder = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
@@ -134,13 +143,34 @@ fn saturated_pool_sheds_with_a_typed_answer_then_recovers() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
+    // A memory-warm refute is answered on the reactor, so saturation never
+    // sheds it: the same bytes come back. A cold key needs a worker and is
+    // shed like any other worker-bound request.
+    assert_eq!(
+        shed_client.refute("ba-nodes", None, None, 1, None).unwrap(),
+        warm
+    );
+    match shed_client.refute("weak-agreement", None, None, 1, None) {
+        Err(ClientError::Overloaded { detail, .. }) => {
+            assert!(detail.contains("busy"), "detail: {detail}");
+        }
+        other => panic!("expected Overloaded for a cold key, got {other:?}"),
+    }
+
     // Request-level shedding keeps the connection open, and reactor-inline
     // requests still serve while the pool is saturated: the same client
     // answers a zero-hold ping and a stats snapshot.
     assert_eq!(shed_client.ping(b"inline", 0).unwrap(), b"inline");
     let stats = shed_client.stats().unwrap();
-    assert_eq!(stats.requests_shed, 1, "stats: {stats:?}");
+    assert_eq!(stats.requests_shed, 2, "stats: {stats:?}");
     assert_eq!(stats.connections_shed, 0, "stats: {stats:?}");
+    // A shed refute is not an answered one, and touched no store tier.
+    assert_eq!(stats.requests_refute, 2, "stats: {stats:?}");
+    assert_eq!(
+        (stats.store_misses, stats.store_mem_hits),
+        (1, 1),
+        "stats: {stats:?}"
+    );
 
     // The held ping still completes: shedding one request never disturbs an
     // in-flight one.
@@ -260,6 +290,68 @@ fn stats_rpc_reflects_served_requests() {
     assert_eq!(stats.store_mem_hits, 1);
     assert_eq!(stats.store_stores, 0);
     server.shutdown();
+}
+
+/// Every answered refute counts in exactly one store tier, whether the
+/// reactor answered it from memory or a worker from disk or a simulation,
+/// and each `flp-async` request counts once.
+#[test]
+fn every_answered_refute_counts_in_exactly_one_store_tier() {
+    let dir = std::env::temp_dir().join(format!("flm-loopback-tiers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let protocol = |i: usize| format!("Table({i})");
+
+    // More distinct keys than the memory tier holds: the first few are
+    // evicted to disk.
+    let distinct = MEMORY_ENTRIES + 8;
+    let mut served = Vec::new();
+    for i in 0..distinct {
+        let bytes = client
+            .refute("ba-nodes", Some(&protocol(i)), None, 1, None)
+            .unwrap();
+        served.push(bytes);
+    }
+    let async_cert = client.refute("flp-async", None, None, 1, None).unwrap();
+    // Repeats: the newest keys and the async one from memory, then the
+    // evicted oldest keys from disk. Each is the bytes first served.
+    let repeats: Vec<usize> = (distinct - 4..distinct).chain(0..4).collect();
+    for &i in &repeats {
+        let bytes = client
+            .refute("ba-nodes", Some(&protocol(i)), None, 1, None)
+            .unwrap();
+        assert_eq!(bytes, served[i], "key {i}");
+    }
+    assert_eq!(
+        client.refute("flp-async", None, None, 1, None).unwrap(),
+        async_cert
+    );
+
+    let stats = client.stats().unwrap();
+    let sent = (distinct + 1 + repeats.len() + 1) as u64;
+    assert_eq!(stats.requests_refute, sent, "stats: {stats:?}");
+    assert_eq!(
+        stats.store_mem_hits + stats.store_disk_hits + stats.store_misses,
+        stats.requests_refute,
+        "stats: {stats:?}"
+    );
+    assert_eq!(
+        (
+            stats.store_misses,
+            stats.store_mem_hits,
+            stats.store_disk_hits
+        ),
+        (distinct as u64 + 1, 5, 4),
+        "stats: {stats:?}"
+    );
+    assert_eq!(stats.async_refutes, 2, "stats: {stats:?}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A server without a store directory still answers FetchCert from its

@@ -216,12 +216,16 @@ fn off_owner_requests_answer_typed_wrong_shard_with_the_owner_hint() {
         }
         other => panic!("expected WrongShard, got {other:?}"),
     }
-    // The rejection is counted and the shard never consulted its store or
-    // simulated (the run cache is process-global in this test binary, so
-    // the per-server store counters are the isolation-safe signal).
+    // The rejection is counted and the shard never consulted any store tier
+    // or simulated: ownership is checked before the memory lookup (the run
+    // cache is process-global in this test binary, so the per-server store
+    // counters are the isolation-safe signal).
     let stats = cluster.shards[not_owner as usize].as_ref().unwrap().stats();
     assert_eq!(stats.wrong_shard, 1);
-    assert_eq!(stats.store_misses + stats.store_stores, 0);
+    assert_eq!(
+        stats.store_mem_hits + stats.store_disk_hits + stats.store_misses + stats.store_stores,
+        0
+    );
     cluster.shutdown();
 }
 

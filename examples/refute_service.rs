@@ -75,7 +75,8 @@ fn main() {
     // ── A mixed load burst through the load generator ──────────────────
     // 4 connections × 8 requests, refute:verify:audit = 2:1:1. Every
     // refute after the first is a byte lookup in the server's answer cache
-    // (the certificate store's memory tier), which all workers share.
+    // (the certificate store's memory tier), answered on the reactor thread
+    // without a worker.
     let report = loadgen::run(
         &addr,
         4,

@@ -60,6 +60,32 @@ fn certificates_are_schedule_invariant_across_seeds() {
     });
 }
 
+/// The approximate-agreement and clock-synchronization families, through
+/// the one refutation path the server and `regen` share: their certificate
+/// bytes must not depend on whether the pool ran the work. The run cache is
+/// cleared before each leg so both legs simulate.
+#[test]
+fn approximate_and_clock_certificates_are_schedule_invariant() {
+    use flm_serve::query::{refute_to_bytes, Theorem};
+    for theorem in [
+        Theorem::SimpleApprox,
+        Theorem::EpsDeltaGamma,
+        Theorem::ClockSync,
+    ] {
+        let refute = || {
+            flm_sim::runcache::clear();
+            refute_to_bytes(theorem, None, None, 1, flm_sim::RunPolicy::default())
+                .unwrap_or_else(|e| panic!("{theorem}: {e}"))
+        };
+        let sequential = flm_par::sequential(refute);
+        let parallel = refute();
+        assert!(
+            sequential == parallel,
+            "{theorem}: parallel certificate bytes differ from the sequential ones"
+        );
+    }
+}
+
 #[test]
 fn parallel_certificates_still_verify() {
     let proto = Table { seed: 0x51DE_CA11 };
